@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "core/online_policy.h"
+#include "core/timeout_policy.h"
 #include "harness.h"
 #include "report.h"
 #include "serve/oracle_server.h"

@@ -36,9 +36,8 @@ void OutageDetector::begin_check(net::Ipv4Address target, std::uint32_t round) {
   ep = Episode{};
   ep.round = round;
   ep.start = sim_.now();
-  ep.decision =
-      policy_.decide(state.estimator.samples() || state.estimator.losses() ? &state.estimator
-                                                                           : nullptr);
+  if (state.estimator == nullptr) state.estimator = policy_.make_estimator();
+  ep.decision = state.estimator->decide();
   if (config_.retry != nullptr) ep.decision.give_up_after = config_.retry->listen_window();
   ep.generation = next_generation_++;
   state.episode_active = true;
@@ -145,9 +144,10 @@ void OutageDetector::conclude(net::Ipv4Address target, TargetState& state) {
   ++stats_.checks;
   if (!ep.responded) {
     ++stats_.outages_declared;
-    state.estimator.add_loss();
+    state.estimator->on_timeout();
   } else {
-    state.estimator.add_sample(ep.first_rtt);
+    // Seq matching makes every sample unambiguous.
+    state.estimator->on_rtt(ep.first_rtt, /*retransmitted=*/false);
     if (ep.responded_late) ++stats_.late_saves;
   }
   // Each in-flight probe occupies one entry of prober state from its send
@@ -160,10 +160,10 @@ void OutageDetector::conclude(net::Ipv4Address target, TargetState& state) {
   state.episode_active = false;
 }
 
-const RttEstimator* OutageDetector::estimator(net::Ipv4Address target) const {
+const TimeoutEstimator* OutageDetector::estimator(net::Ipv4Address target) const {
   const auto it = targets_.find(target.value());
   if (it == targets_.end()) return nullptr;
-  return &it->second.estimator;
+  return it->second.estimator.get();
 }
 
 }  // namespace turtle::core

@@ -16,7 +16,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/rtt_estimator.h"
 #include "core/timeout_policy.h"
 #include "net/icmp.h"
 #include "net/ipv4.h"
@@ -84,7 +83,7 @@ class OutageDetector : public sim::PacketSink {
   [[nodiscard]] DetectorStats stats() const { return stats_; }
 
   /// Per-destination estimator (null if never probed).
-  [[nodiscard]] const RttEstimator* estimator(net::Ipv4Address target) const;
+  [[nodiscard]] const TimeoutEstimator* estimator(net::Ipv4Address target) const;
 
  private:
   struct Episode {
@@ -104,7 +103,8 @@ class OutageDetector : public sim::PacketSink {
   };
 
   struct TargetState {
-    RttEstimator estimator;
+    /// Created on the target's first check.
+    std::unique_ptr<TimeoutEstimator> estimator;
     Episode episode;
     bool episode_active = false;
   };

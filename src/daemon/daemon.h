@@ -6,12 +6,12 @@
 // a NetTransport, which embeds the stock OracleServer on a logical-time
 // simulator. Once per loop iteration the transport pumps, executing the
 // iteration's requests as one batched burst and filling the ordered
-// response slots; idle connections are reaped by an IdleGovernor whose
-// deadline is learned by the oracle's own adaptive estimator. Admin
-// operations ride the same protocol: STATS snapshots the ledger, SWAP
-// hot-swaps a new snapshot file mid-traffic, QUIT (or SIGINT/SIGTERM)
-// runs the graceful drain — flush replies, finalize the serving ledger so
-// offered == served + shed + queued closes, dump metrics, exit.
+// response slots; connections silent for --max-idle-ms are reaped by an
+// IdleGovernor. Admin operations ride the same protocol: STATS snapshots
+// the ledger, SWAP hot-swaps a new snapshot file mid-traffic, QUIT (or
+// SIGINT/SIGTERM) runs the graceful drain — flush replies, finalize the
+// serving ledger so offered == served + shed + queued closes, dump
+// metrics, exit.
 #pragma once
 
 #include <cstdint>

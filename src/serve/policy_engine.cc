@@ -41,7 +41,7 @@ PolicyEngine::Tally PolicyEngine::make_tally(const std::string& name) {
   return tally;
 }
 
-std::uint32_t PolicyEngine::register_policy(std::unique_ptr<core::OnlinePolicy> policy) {
+std::uint32_t PolicyEngine::register_policy(std::unique_ptr<core::TimeoutPolicy> policy) {
   TURTLE_CHECK(policy != nullptr);
   const util::MutexLock lock{mu_};
   PolicyState state;
@@ -87,7 +87,7 @@ LookupResult PolicyEngine::answer(std::uint32_t policy_id, net::Ipv4Address addr
     state.tally.answered_cold->inc();
     return static_lookup(addr);
   }
-  const core::OnlineEstimator& estimator = *it->second.estimator;
+  const core::TimeoutEstimator& estimator = *it->second.estimator;
   const core::TimeoutDecision decision = estimator.decide();
   LookupResult result;
   result.timeout = decision.give_up_after;

@@ -1,7 +1,7 @@
 // PolicyEngine: runs adaptive timeout policies online against the serve
 // path, next to (and scored against) the static Table-2 oracle.
 //
-// Each registered core::OnlinePolicy gets a bounded per-/24 working set of
+// Each registered core::TimeoutPolicy gets a bounded per-/24 working set of
 // estimator state (LRU with counted eviction — the same prober-state-cost
 // argument the snapshot makes, Section 2.1). Ground-truth observations
 // extracted from a survey log flow in through observe(); for every
@@ -37,7 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "core/online_policy.h"
+#include "core/timeout_policy.h"
 #include "net/ipv4.h"
 #include "obs/metrics.h"
 #include "probe/records.h"
@@ -93,8 +93,9 @@ class PolicyEngine {
   PolicyEngine& operator=(const PolicyEngine&) = delete;
 
   /// Registers an adaptive policy and returns its id (1-based; 0 is the
-  /// static baseline). Register everything before traffic starts.
-  std::uint32_t register_policy(std::unique_ptr<core::OnlinePolicy> policy)
+  /// static baseline). Its name() must be metric-key-safe ([a-z0-9_]).
+  /// Register everything before traffic starts.
+  std::uint32_t register_policy(std::unique_ptr<core::TimeoutPolicy> policy)
       TURTLE_EXCLUDES(mu_);
 
   /// Registered adaptive policies (the static baseline not included).
@@ -132,13 +133,13 @@ class PolicyEngine {
   };
 
   struct Entry {
-    std::unique_ptr<core::OnlineEstimator> estimator;
+    std::unique_ptr<core::TimeoutEstimator> estimator;
     std::list<std::uint32_t>::iterator lru_it;
     std::uint64_t seen_level_shifts = 0;
   };
 
   struct PolicyState {
-    std::unique_ptr<core::OnlinePolicy> policy;
+    std::unique_ptr<core::TimeoutPolicy> policy;
     std::string name;
     Tally tally;
     /// /24 network -> estimator state; std::map so any iteration order is

@@ -1,15 +1,18 @@
 // turtle::core adaptive-timeout robustness — RFC 6298 §5.5 backoff and
 // Karn's rule on RttEstimator, QuantileAdaptivePolicy cold-start
 // hardening, the Jain divergence regression (naive diverges, Karn stays
-// bounded), and convergence of all three online estimators on uniform,
-// lognormal, and bimodal delay distributions.
+// bounded), convergence of the three tournament estimators on uniform,
+// lognormal, and bimodal delay distributions, and a pinned decision
+// sequence for every policy on one seeded event stream.
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/online_policy.h"
 #include "core/rtt_estimator.h"
 #include "core/timeout_policy.h"
 #include "util/prng.h"
@@ -20,9 +23,9 @@ namespace {
 using core::CusumQuantilePolicy;
 using core::EwmaVariancePolicy;
 using core::JacobsonKarnPolicy;
-using core::OnlinePolicy;
 using core::QuantileAdaptivePolicy;
 using core::RttEstimator;
+using core::TimeoutPolicy;
 using core::TimeoutDecision;
 
 // ---------------------------------------------------------------------------
@@ -126,29 +129,29 @@ TEST(RttEstimator, JainScenarioNaiveDivergesKarnStaysBounded) {
 
 TEST(TimeoutPolicy, QuantileAdaptiveColdStartBelowFiveSamples) {
   const QuantileAdaptivePolicy policy;
-  // Null estimator and <5 quantile samples both take the documented
+  // A fresh estimator and <5 quantile samples both take the documented
   // cold-start values: retransmit at min(cold_start, give_up), full
   // give-up listen window.
-  const TimeoutDecision none = policy.decide(nullptr);
+  const auto est = policy.make_estimator();
+  const TimeoutDecision none = est->decide();
   EXPECT_EQ(none.retransmit_after, SimTime::seconds(3));
   EXPECT_EQ(none.give_up_after, SimTime::seconds(60));
 
-  RttEstimator est;
-  for (int i = 0; i < 4; ++i) est.add_sample(SimTime::millis(10));
-  EXPECT_EQ(policy.decide(&est).retransmit_after, SimTime::seconds(3));
-  est.add_sample(SimTime::millis(10));
+  for (int i = 0; i < 4; ++i) est->on_rtt(SimTime::millis(10), false);
+  EXPECT_EQ(est->decide().retransmit_after, SimTime::seconds(3));
+  est->on_rtt(SimTime::millis(10), false);
   // Warm now: 1.5 x p99 of 10 ms is far below the 500 ms floor.
-  EXPECT_EQ(policy.decide(&est).retransmit_after, SimTime::millis(500));
+  EXPECT_EQ(est->decide().retransmit_after, SimTime::millis(500));
 }
 
 TEST(TimeoutPolicy, QuantileAdaptiveKarnExcludedSamplesStayCold) {
   const QuantileAdaptivePolicy policy;
-  RttEstimator est;
-  // Ambiguous samples never reach the quantile trackers, so the policy
-  // must keep treating the destination as cold.
-  for (int i = 0; i < 10; ++i) est.add_sample(SimTime::millis(10), true);
-  EXPECT_EQ(est.quantile_samples(), 0u);
-  EXPECT_EQ(policy.decide(&est).retransmit_after, SimTime::seconds(3));
+  const auto est = policy.make_estimator();
+  // Ambiguous samples are counted but never reach the quantile tracker,
+  // so the policy must keep treating the destination as cold.
+  for (int i = 0; i < 10; ++i) est->on_rtt(SimTime::millis(10), true);
+  EXPECT_EQ(est->samples(), 10u);
+  EXPECT_EQ(est->decide().retransmit_after, SimTime::seconds(3));
 }
 
 TEST(TimeoutPolicy, QuantileAdaptiveGiveUpBoundsRetransmitAlways) {
@@ -157,13 +160,13 @@ TEST(TimeoutPolicy, QuantileAdaptiveGiveUpBoundsRetransmitAlways) {
   const QuantileAdaptivePolicy policy{1.5, /*cold_start=*/SimTime::seconds(3),
                                       /*give_up=*/SimTime::seconds(1),
                                       /*floor=*/SimTime::seconds(2)};
-  const TimeoutDecision cold = policy.decide(nullptr);
+  const TimeoutDecision cold = policy.make_estimator()->decide();
   EXPECT_LE(cold.retransmit_after, cold.give_up_after);
   EXPECT_EQ(cold.retransmit_after, SimTime::seconds(1));
 
-  RttEstimator est;
-  for (int i = 0; i < 100; ++i) est.add_sample(SimTime::millis(1));
-  const TimeoutDecision warm = policy.decide(&est);
+  const auto est = policy.make_estimator();
+  for (int i = 0; i < 100; ++i) est->on_rtt(SimTime::millis(1), false);
+  const TimeoutDecision warm = est->decide();
   EXPECT_LE(warm.retransmit_after, warm.give_up_after);
   EXPECT_EQ(warm.retransmit_after, SimTime::seconds(1));
 }
@@ -172,8 +175,8 @@ TEST(TimeoutPolicy, QuantileAdaptiveGiveUpBoundsRetransmitAlways) {
 // Online estimator convergence across delay distributions
 // ---------------------------------------------------------------------------
 
-std::vector<std::unique_ptr<OnlinePolicy>> tournament_roster() {
-  std::vector<std::unique_ptr<OnlinePolicy>> roster;
+std::vector<std::unique_ptr<TimeoutPolicy>> tournament_roster() {
+  std::vector<std::unique_ptr<TimeoutPolicy>> roster;
   roster.push_back(std::make_unique<JacobsonKarnPolicy>());
   roster.push_back(std::make_unique<EwmaVariancePolicy>());
   roster.push_back(std::make_unique<CusumQuantilePolicy>());
@@ -330,6 +333,144 @@ TEST(OnlineEstimators, TimeoutsBackOffJacobsonOnly) {
     if (policy->name() == "jacobson_karn") {
       EXPECT_EQ(after.retransmit_after, SimTime::seconds(8));
     }
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// Every policy through TimeoutEstimator: one seeded stream, pinned decisions
+// ---------------------------------------------------------------------------
+
+enum class EventKind { kRtt, kRetransmittedRtt, kTimeout };
+
+struct Event {
+  EventKind kind;
+  SimTime rtt;
+};
+
+/// 24 observations: a fast regime (100-200 ms) then a slow one (2-4 s),
+/// about 15% timeouts and 15% ambiguous (retransmitted) responses.
+std::vector<Event> seeded_event_stream() {
+  util::Prng rng{2015};
+  std::vector<Event> events;
+  for (int i = 0; i < 24; ++i) {
+    const double base_s = i < 12 ? 0.1 : 2.0;
+    const double u = rng.uniform();
+    const SimTime rtt = SimTime::from_seconds(base_s * (1 + rng.uniform()));
+    if (u < 0.15) {
+      events.push_back({EventKind::kTimeout, SimTime{}});
+    } else if (u < 0.3) {
+      events.push_back({EventKind::kRetransmittedRtt, rtt});
+    } else {
+      events.push_back({EventKind::kRtt, rtt});
+    }
+  }
+  return events;
+}
+
+// The decision before the first event and after each of the 24, as
+// (retransmit_after, give_up_after) in microseconds. The literals were
+// recorded from the two policy hierarchies this interface replaced, so
+// they pin that the merge changed no decision.
+TEST(TimeoutPolicy, EveryPolicyReplaysPinnedDecisions) {
+  struct Expected {
+    std::string name;
+    std::vector<std::pair<std::int64_t, std::int64_t>> decisions;
+  };
+  const std::vector<Expected> expected = {
+      {"fixed(3.000s)",
+       {
+        {3000000, 3000000}, {3000000, 3000000}, {3000000, 3000000}, {3000000, 3000000},
+        {3000000, 3000000}, {3000000, 3000000}, {3000000, 3000000}, {3000000, 3000000},
+        {3000000, 3000000}, {3000000, 3000000}, {3000000, 3000000}, {3000000, 3000000},
+        {3000000, 3000000}, {3000000, 3000000}, {3000000, 3000000}, {3000000, 3000000},
+        {3000000, 3000000}, {3000000, 3000000}, {3000000, 3000000}, {3000000, 3000000},
+        {3000000, 3000000}, {3000000, 3000000}, {3000000, 3000000}, {3000000, 3000000},
+        {3000000, 3000000}}},
+      {"listen-longer(3.000s/60.000s)",
+       {
+        {3000000, 60000000}, {3000000, 60000000}, {3000000, 60000000}, {3000000, 60000000},
+        {3000000, 60000000}, {3000000, 60000000}, {3000000, 60000000}, {3000000, 60000000},
+        {3000000, 60000000}, {3000000, 60000000}, {3000000, 60000000}, {3000000, 60000000},
+        {3000000, 60000000}, {3000000, 60000000}, {3000000, 60000000}, {3000000, 60000000},
+        {3000000, 60000000}, {3000000, 60000000}, {3000000, 60000000}, {3000000, 60000000},
+        {3000000, 60000000}, {3000000, 60000000}, {3000000, 60000000}, {3000000, 60000000},
+        {3000000, 60000000}}},
+      {"quantile-adaptive(p99 x 1.5)",
+       {
+        {3000000, 60000000}, {3000000, 60000000}, {3000000, 60000000}, {3000000, 60000000},
+        {3000000, 60000000}, {3000000, 60000000}, {3000000, 60000000}, {500000, 60000000},
+        {500000, 60000000}, {500000, 60000000}, {500000, 60000000}, {500000, 60000000},
+        {500000, 60000000}, {500000, 60000000}, {805620, 60000000}, {1860282, 60000000},
+        {2650569, 60000000}, {3552782, 60000000}, {3552782, 60000000}, {3552782, 60000000},
+        {3552782, 60000000}, {4180788, 60000000}, {4691853, 60000000}, {4691853, 60000000},
+        {4691853, 60000000}}},
+      {"rfc6298",
+       {
+        {3000000, 60000000}, {1000000, 60000000}, {1000000, 60000000}, {1000000, 60000000},
+        {2000000, 60000000}, {1000000, 60000000}, {1000000, 60000000}, {1000000, 60000000},
+        {1000000, 60000000}, {2000000, 60000000}, {1000000, 60000000}, {1000000, 60000000},
+        {1000000, 60000000}, {4064176, 60000000}, {5591693, 60000000}, {7346539, 60000000},
+        {7608110, 60000000}, {8535447, 60000000}, {8535447, 60000000}, {8535447, 60000000},
+        {8535447, 60000000}, {7908073, 60000000}, {7409906, 60000000}, {7409906, 60000000},
+        {14819812, 60000000}}},
+      {"jacobson_karn",
+       {
+        {3000000, 3000000}, {1000000, 1000000}, {1000000, 1000000}, {1000000, 1000000},
+        {2000000, 2000000}, {1000000, 1000000}, {1000000, 1000000}, {1000000, 1000000},
+        {1000000, 1000000}, {2000000, 2000000}, {1000000, 1000000}, {1000000, 1000000},
+        {1000000, 1000000}, {4064176, 4064176}, {5591693, 5591693}, {7346539, 7346539},
+        {7608110, 7608110}, {8535447, 8535447}, {8535447, 8535447}, {8535447, 8535447},
+        {8535447, 8535447}, {7908073, 7908073}, {7409906, 7409906}, {7409906, 7409906},
+        {14819812, 14819812}}},
+      {"ewma",
+       {
+        {3000000, 3000000}, {500000, 500000}, {500000, 500000}, {500000, 500000},
+        {500000, 500000}, {500000, 500000}, {500000, 500000}, {500000, 500000},
+        {500000, 500000}, {500000, 500000}, {500000, 500000}, {500000, 500000},
+        {500000, 500000}, {5353463, 5353463}, {6231370, 6231370}, {7418791, 7418791},
+        {7639673, 7639673}, {8290603, 8290603}, {8778125, 8778125}, {8751161, 8751161},
+        {8651402, 8651402}, {8314579, 8314579}, {8009720, 8009720}, {7803157, 7803157},
+        {7803157, 7803157}}},
+      {"cusum_p99",
+       {
+        {3000000, 60000000}, {500000, 60000000}, {500000, 60000000}, {500000, 60000000},
+        {500000, 60000000}, {500000, 60000000}, {500000, 60000000}, {500000, 60000000},
+        {500000, 60000000}, {500000, 60000000}, {500000, 60000000}, {500000, 60000000},
+        {500000, 60000000}, {2416231, 60000000}, {3517408, 60000000}, {4815930, 60000000},
+        {5361943, 60000000}, {6243304, 60000000}, {6965016, 60000000}, {7141036, 60000000},
+        {7199386, 60000000}, {6832568, 60000000}, {6529688, 60000000}, {6411306, 60000000},
+        {6411306, 60000000}}},
+  };
+
+  std::vector<std::unique_ptr<TimeoutPolicy>> policies;
+  policies.push_back(std::make_unique<core::FixedTimeoutPolicy>(SimTime::seconds(3)));
+  policies.push_back(std::make_unique<core::ListenLongerPolicy>());
+  policies.push_back(std::make_unique<QuantileAdaptivePolicy>());
+  policies.push_back(std::make_unique<core::Rfc6298Policy>());
+  for (auto& policy : tournament_roster()) policies.push_back(std::move(policy));
+  ASSERT_EQ(policies.size(), expected.size());
+
+  const std::vector<Event> events = seeded_event_stream();
+  for (std::size_t p = 0; p < policies.size(); ++p) {
+    ASSERT_EQ(policies[p]->name(), expected[p].name);
+    const auto est = policies[p]->make_estimator();
+    std::vector<std::pair<std::int64_t, std::int64_t>> decisions;
+    const auto record = [&] {
+      const TimeoutDecision d = est->decide();
+      decisions.emplace_back(d.retransmit_after.as_micros(), d.give_up_after.as_micros());
+    };
+    record();
+    for (const Event& event : events) {
+      if (event.kind == EventKind::kTimeout) {
+        est->on_timeout();
+      } else {
+        est->on_rtt(event.rtt, event.kind == EventKind::kRetransmittedRtt);
+      }
+      record();
+    }
+    EXPECT_EQ(decisions, expected[p].decisions) << expected[p].name;
+    EXPECT_EQ(est->samples(), 21u) << expected[p].name;
   }
 }
 

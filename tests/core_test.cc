@@ -118,7 +118,7 @@ TEST(RttEstimator, RtoFollowsRfc6298) {
 
 TEST(TimeoutPolicy, FixedConflatesBothTimers) {
   FixedTimeoutPolicy policy{SimTime::seconds(3)};
-  const auto d = policy.decide(nullptr);
+  const auto d = policy.make_estimator()->decide();
   EXPECT_EQ(d.retransmit_after, SimTime::seconds(3));
   EXPECT_EQ(d.give_up_after, SimTime::seconds(3));
   EXPECT_NE(policy.name().find("fixed"), std::string::npos);
@@ -126,26 +126,26 @@ TEST(TimeoutPolicy, FixedConflatesBothTimers) {
 
 TEST(TimeoutPolicy, ListenLongerSeparatesTimers) {
   ListenLongerPolicy policy;
-  const auto d = policy.decide(nullptr);
+  const auto d = policy.make_estimator()->decide();
   EXPECT_EQ(d.retransmit_after, SimTime::seconds(3));
   EXPECT_EQ(d.give_up_after, SimTime::seconds(60));
 }
 
 TEST(TimeoutPolicy, QuantileAdaptiveColdStart) {
   QuantileAdaptivePolicy policy;
-  const auto d = policy.decide(nullptr);
+  const auto sparse = policy.make_estimator();
+  const auto d = sparse->decide();
   EXPECT_EQ(d.retransmit_after, SimTime::seconds(3));
 
-  RttEstimator sparse;
-  sparse.add_sample(SimTime::millis(100));
-  EXPECT_EQ(policy.decide(&sparse).retransmit_after, SimTime::seconds(3));
+  sparse->on_rtt(SimTime::millis(100), false);
+  EXPECT_EQ(sparse->decide().retransmit_after, SimTime::seconds(3));
 }
 
 TEST(TimeoutPolicy, QuantileAdaptiveScalesP99) {
   QuantileAdaptivePolicy policy{/*multiplier=*/2.0};
-  RttEstimator est;
-  for (int i = 0; i < 1000; ++i) est.add_sample(SimTime::seconds(1));
-  const auto d = policy.decide(&est);
+  const auto est = policy.make_estimator();
+  for (int i = 0; i < 1000; ++i) est->on_rtt(SimTime::seconds(1), false);
+  const auto d = est->decide();
   EXPECT_NEAR(d.retransmit_after.as_seconds(), 2.0, 0.01);
   EXPECT_EQ(d.give_up_after, SimTime::seconds(60));
 }
@@ -153,21 +153,21 @@ TEST(TimeoutPolicy, QuantileAdaptiveScalesP99) {
 TEST(TimeoutPolicy, QuantileAdaptiveClampsToFloorAndGiveUp) {
   QuantileAdaptivePolicy policy{1.5, SimTime::seconds(3), SimTime::seconds(60),
                                 SimTime::millis(500)};
-  RttEstimator fast;
-  for (int i = 0; i < 100; ++i) fast.add_sample(SimTime::millis(10));
-  EXPECT_EQ(policy.decide(&fast).retransmit_after, SimTime::millis(500));
+  const auto fast = policy.make_estimator();
+  for (int i = 0; i < 100; ++i) fast->on_rtt(SimTime::millis(10), false);
+  EXPECT_EQ(fast->decide().retransmit_after, SimTime::millis(500));
 
-  RttEstimator slow;
-  for (int i = 0; i < 100; ++i) slow.add_sample(SimTime::seconds(100));
-  EXPECT_EQ(policy.decide(&slow).retransmit_after, SimTime::seconds(60));
+  const auto slow = policy.make_estimator();
+  for (int i = 0; i < 100; ++i) slow->on_rtt(SimTime::seconds(100), false);
+  EXPECT_EQ(slow->decide().retransmit_after, SimTime::seconds(60));
 }
 
 TEST(TimeoutPolicy, Rfc6298UsesEstimator) {
   Rfc6298Policy policy;
-  EXPECT_EQ(policy.decide(nullptr).retransmit_after, SimTime::seconds(3));
-  RttEstimator est;
-  est.add_sample(SimTime::seconds(2));
-  EXPECT_NEAR(policy.decide(&est).retransmit_after.as_seconds(), 6.0, 1e-6);
+  const auto est = policy.make_estimator();
+  EXPECT_EQ(est->decide().retransmit_after, SimTime::seconds(3));
+  est->on_rtt(SimTime::seconds(2), false);
+  EXPECT_NEAR(est->decide().retransmit_after.as_seconds(), 6.0, 1e-6);
 }
 
 analysis::TimeoutMatrix paper_matrix() {

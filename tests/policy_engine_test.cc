@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/online_policy.h"
+#include "core/timeout_policy.h"
 #include "obs/metrics.h"
 #include "serve/oracle_server.h"
 #include "serve/oracle_snapshot.h"

@@ -1,7 +1,7 @@
 // turtled — serve the timeout oracle over TCP/UDP loopback or LAN.
 //
-//   turtled --snapshot=oracle.snap --tcp-port=4774 --udp-port=4774 \
-//           --metrics-out=daemon_metrics.json
+//   turtled --snapshot=oracle.snap --tcp-port=4774 --udp-port=4774
+//           --metrics-out=daemon_metrics.json      (one command line)
 //
 // Ports default to 0 (kernel-assigned); pass --port-file so scripts can
 // learn the actual bindings. SIGINT/SIGTERM (and the wire QUIT) trigger
@@ -46,8 +46,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("max-connections", 1024));
   config.port_file = flags.get_string("port-file", "");
   config.metrics_out = flags.get_string("metrics-out", "");
-  config.idle.min_idle_us =
-      static_cast<std::uint64_t>(flags.get_int("min-idle-ms", 1000)) * 1000;
   config.idle.max_idle_us =
       static_cast<std::uint64_t>(flags.get_int("max-idle-ms", 60'000)) * 1000;
 
