@@ -5,15 +5,16 @@
 #
 #   1. turtled serving a mmap'd snapshot-v1 file answers QUERY over both
 #      TCP and UDP, and every network answer is byte-identical to
-#      `turtlectl --local` running the same codec + transport stack
-#      in-process on the same file — the daemon serves the oracle
-#      unmodified;
+#      `turtlectl --local` running the daemon's own serve path in-process
+#      on the same file — the daemon serves the oracle unmodified. 2,000
+#      queries pipelined on one TCP connection all get that answer too,
+#      with no ERR (no query is ever shed);
 #   2. hot SWAP succeeds mid-traffic and subsequent answers carry the new
 #      snapshot version;
 #   3. malformed input gets a counted ERR, never a crash;
 #   4. QUIT runs the graceful drain: the daemon exits 0 and its metrics
-#      dump passes validate_obs.py --serve (offered == served + shed +
-#      queued) plus daemon.* ledger sanity.
+#      dump passes validate_obs.py --daemon (every parsed query answered
+#      exactly once, daemon.* ledger closes).
 #
 # Usage: scripts/daemon_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -66,6 +67,7 @@ queries=(
   "query 10.0.7.1 scope=global"
   "query 10.0.3.2 addr-coverage=50 ping-coverage=99"
 )
+burst_pairs=()  # wire request line, expected reply; for the burst below
 for q in "${queries[@]}"; do
   # shellcheck disable=SC2086 # word splitting is the request grammar
   tcp=$(ctl $q) || fail "TCP $q"
@@ -76,8 +78,38 @@ for q in "${queries[@]}"; do
   [ "$tcp" = "$local_answer" ] || fail "TCP answer diverges for '$q': '$tcp' vs '$local_answer'"
   [ "$udp" = "$local_answer" ] || fail "UDP answer diverges for '$q': '$udp' vs '$local_answer'"
   case "$tcp" in "OK QUERY timeout_us="*) ;; *) fail "malformed answer '$tcp'" ;; esac
+  burst_pairs+=("QUERY ${q#query }" "$local_answer")
 done
 echo "daemon_smoke: ${#queries[@]} queries byte-identical across TCP/UDP/in-process"
+
+# Pipelined burst: 2,000 queries cycling the matrix, written at once on one
+# TCP connection. Each reply must be that query's --local answer; an
+# `ERR overloaded request shed` (or any ERR) fails the smoke.
+python3 - "$WORK/ports.txt" "${burst_pairs[@]}" <<'EOF' || fail "pipelined burst"
+import socket
+import sys
+
+ports = dict(token.split("=") for token in open(sys.argv[1]).read().split())
+requests, expected = sys.argv[2::2], sys.argv[3::2]
+n = 2000
+wire = "".join(requests[i % len(requests)] + "\n" for i in range(n)).encode()
+with socket.create_connection(("127.0.0.1", int(ports["tcp"])), timeout=10) as sock:
+    sock.sendall(wire)
+    data = b""
+    while data.count(b"\n") < n:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+replies = data.decode().split("\n")[:n]
+errors = sum(reply.startswith("ERR") for reply in replies)
+wrong = sum(reply != expected[i % len(expected)] for i, reply in enumerate(replies))
+if len(replies) < n or errors or wrong:
+    sys.exit(f"daemon_smoke: burst got {len(replies)} replies, {errors} ERR, "
+             f"{wrong} differing from --local")
+print(f"daemon_smoke: {n} pipelined queries on one connection, "
+      "all byte-equal to --local, 0 ERR")
+EOF
 
 # The adaptive default: with no --timeout-ms, turtlectl bootstraps its
 # deadline from the oracle's own global recommendation.
@@ -124,20 +156,7 @@ fi
 wait "$DAEMON_PID" || fail "turtled exited non-zero"
 DAEMON_PID=
 
-python3 scripts/validate_obs.py --metrics "$WORK/metrics.json" --serve
-python3 - "$WORK/metrics.json" <<'EOF'
-import json, sys
-counters = json.load(open(sys.argv[1]))["counters"]
-assert counters["daemon.proto.requests"] > 0, "no requests counted"
-assert counters["daemon.proto.rejected"] >= 1, "malformed line not counted"
-assert counters["daemon.proto.queries"] > 0, "no queries counted"
-assert counters["daemon.conn.accepted"] == counters["daemon.conn.closed"], \
-    "connection ledger does not close"
-assert counters["serve.snapshot_swaps"] == 1, "hot swap not in the serve ledger"
-assert counters["daemon.swap.failed"] == 1, "failed swap not counted"
-print("daemon_smoke: daemon.* ledger closes "
-      f"({counters['daemon.proto.requests']} requests, "
-      f"{counters['daemon.conn.accepted']} connections)")
-EOF
+python3 scripts/validate_obs.py --metrics "$WORK/metrics.json" --daemon \
+  || fail "metrics dump failed validate_obs.py --daemon"
 
 echo "daemon_smoke: OK"

@@ -3,7 +3,7 @@
 
 Usage:
     scripts/validate_obs.py --metrics M.json --trace T.json [--stdout OUT.txt]
-                            [--fault] [--serve] [--snapshot S.snap]
+                            [--fault] [--serve] [--daemon] [--snapshot S.snap]
                             [--flight F.json]
 
 Checks:
@@ -30,6 +30,14 @@ Checks:
     is answered by exactly one scope tier; the latency histogram holds
     one observation per served request; and a crashed server recovered its
     snapshot at least once (file reload or log rebuild);
+  * with --daemon (a turtled --metrics-out dump, as scripts/daemon_smoke.sh
+    takes it), every parsed query was answered exactly once
+    (daemon.proto.queries == serve.lookups), each lookup by exactly one
+    scope tier, the connection ledger closes (accepted == closed), and the
+    smoke's one good and one bad SWAP and its malformed line are counted.
+    turtled has no queue, so the dump carries no deterministic histogram
+    (its only histograms are wall.*, which the dump excludes) and the
+    non-empty-histograms check is skipped;
   * with --snapshot (a snapshot-v1 file from micro_snapshot/serve_loadgen
     --snapshot-out), the file itself is audited with an independent
     CRC-64/XZ implementation: magic, version, header checksum, body
@@ -60,14 +68,15 @@ def check(cond, message):
         FAILURES.append(message)
 
 
-def validate_metrics(path):
+def validate_metrics(path, require_histograms=True):
     with open(path) as f:
         m = json.load(f)
     check(m.get("schema") == "turtle-metrics-v1", "metrics: bad schema field")
     for section in ("counters", "gauges", "histograms"):
         check(isinstance(m.get(section), dict), f"metrics: missing {section}")
     check(m.get("counters"), "metrics: no counters recorded")
-    check(m.get("histograms"), "metrics: no histograms recorded")
+    if require_histograms:
+        check(m.get("histograms"), "metrics: no histograms recorded")
     for name in list(m.get("counters", {})) + list(m.get("gauges", {})) + list(
             m.get("histograms", {})):
         check(not name.startswith("wall."),
@@ -182,9 +191,7 @@ def validate_serve(metrics):
     check(c("serve.cache_hits") + c("serve.cache_misses") == c("serve.lookups"),
           f"serve: cache hits {c('serve.cache_hits')} + misses "
           f"{c('serve.cache_misses')} != lookups {c('serve.lookups')}")
-    check(c("serve.scope_block") + c("serve.scope_as") + c("serve.scope_global")
-          == c("serve.lookups"),
-          "serve: scope counters do not sum to serve.lookups")
+    check_scope_sum(c, "serve")
 
     # One latency observation per served request.
     latency = metrics.get("histograms", {}).get("serve.latency", {})
@@ -197,6 +204,33 @@ def validate_serve(metrics):
     if c("fault.serve.crashes") > 0:
         check(c("serve.snapshot_rebuilds") + c("serve.snapshot_reloads") >= 1,
               "serve: server crashed but never reloaded or rebuilt a snapshot")
+
+
+def check_scope_sum(c, mode):
+    """Each lookup is answered by exactly one scope tier."""
+    check(c("serve.scope_block") + c("serve.scope_as") + c("serve.scope_global")
+          == c("serve.lookups"),
+          f"{mode}: scope counters do not sum to serve.lookups")
+
+
+def validate_daemon(metrics):
+    counters = metrics.get("counters", {})
+    c = lambda name: counters.get(name, 0)
+    check(c("daemon.proto.requests") > 0, "daemon: no requests counted")
+    check(c("daemon.proto.queries") > 0, "daemon: no queries counted")
+    check(c("daemon.proto.rejected") > 0, "daemon: malformed line not counted")
+    # Answered inline, never shed: every parsed query is one lookup.
+    check(c("daemon.proto.queries") == c("serve.lookups"),
+          f"daemon: proto.queries {c('daemon.proto.queries')} != "
+          f"serve.lookups {c('serve.lookups')}")
+    check_scope_sum(c, "daemon")
+    check(c("daemon.conn.accepted") == c("daemon.conn.closed"),
+          f"daemon: conn.accepted {c('daemon.conn.accepted')} != "
+          f"conn.closed {c('daemon.conn.closed')}")
+    check(c("serve.snapshot_swaps") == 1,
+          f"daemon: serve.snapshot_swaps {c('serve.snapshot_swaps')} != 1")
+    check(c("daemon.swap.failed") == 1,
+          f"daemon: swap.failed {c('daemon.swap.failed')} != 1")
 
 
 # --- flight-recorder dump audit (see src/obs/flight.h) -----------------
@@ -457,6 +491,9 @@ def main():
                         help="the run used --fault-plan: check fault.* reconciliation")
     parser.add_argument("--serve", action="store_true",
                         help="a serve_loadgen run: check the serve.* accounting ledger")
+    parser.add_argument("--daemon", action="store_true",
+                        help="a turtled dump from daemon_smoke.sh: check every "
+                             "query was answered once and the daemon.* ledger")
     parser.add_argument("--policy", action="store_true",
                         help="a policy_tournament run: check every policy.* "
                              "decision ledger closes")
@@ -468,10 +505,11 @@ def main():
     args = parser.parse_args()
     if args.metrics is None and not ((args.snapshot or args.flight) and not args.stdout
                                      and not args.fault and not args.serve
-                                     and not args.policy):
+                                     and not args.daemon and not args.policy):
         parser.error("--metrics is required unless only --snapshot/--flight is given")
 
-    metrics = validate_metrics(args.metrics) if args.metrics else {}
+    metrics = (validate_metrics(args.metrics, require_histograms=not args.daemon)
+               if args.metrics else {})
     trace = validate_trace(args.trace) if args.trace else {}
     if args.stdout:
         validate_table1(metrics, args.stdout)
@@ -479,6 +517,8 @@ def main():
         validate_fault(metrics)
     if args.serve:
         validate_serve(metrics)
+    if args.daemon:
+        validate_daemon(metrics)
     if args.policy:
         validate_policy(metrics)
     if args.snapshot:

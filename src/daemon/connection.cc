@@ -3,11 +3,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <utility>
 #include <vector>
 
 #include "daemon/daemon.h"
-#include "util/check.h"
 
 namespace turtle::daemon {
 
@@ -60,33 +58,10 @@ void Connection::on_line(std::string_view line) {
   daemon_.dispatch_line(*this, line);
 }
 
-std::uint64_t Connection::reserve_slot() {
-  responses_.emplace_back(std::nullopt);
-  return next_slot_++;
-}
-
-void Connection::fill_slot(std::uint64_t slot, std::string line) {
+void Connection::push_response(std::string_view line) {
   if (dead_) return;
-  TURTLE_CHECK_GE(slot, flushed_slots_);
-  const std::size_t index = static_cast<std::size_t>(slot - flushed_slots_);
-  TURTLE_CHECK_LT(index, responses_.size());
-  TURTLE_CHECK(!responses_[index].has_value()) << "slot " << slot << " filled twice";
-  responses_[index] = std::move(line);
-  pump_responses();
-}
-
-void Connection::push_response(std::string line) {
-  const std::uint64_t slot = reserve_slot();
-  fill_slot(slot, std::move(line));
-}
-
-void Connection::pump_responses() {
-  while (!responses_.empty() && responses_.front().has_value()) {
-    write_buffer_ += *responses_.front();
-    write_buffer_ += '\n';
-    responses_.pop_front();
-    ++flushed_slots_;
-  }
+  write_buffer_ += line;
+  write_buffer_ += '\n';
   if (write_buffer_.size() - write_offset_ > daemon_.config().max_write_buffer) {
     daemon_.close_connection(id_, Daemon::CloseReason::kBackpressure);
     return;

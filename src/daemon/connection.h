@@ -1,20 +1,14 @@
 // One accepted TCP client: bounded read buffer through the line splitter,
-// ordered response slots, bounded write buffer with backpressure cutoff.
+// bounded write buffer with backpressure cutoff.
 //
-// Response ordering: a pipelined client may have a QUERY (answered
-// asynchronously after the transport pumps) followed by a STATS (answered
-// synchronously). Replies must leave in request order, so each request
-// reserves a slot in a FIFO of pending responses; slots fill in any order
-// and the flush pointer only advances over filled slots. Memory is bounded
-// end to end: line splitter <= kMaxLineBytes, response FIFO bounded by the
-// server's own bounded queue (a shed request fills its slot immediately
-// with ERR), write buffer cut off at max_write_buffer (the connection is
-// dropped and counted, never ballooned).
+// Every request is answered while its line is dispatched, so replies are
+// appended to the write buffer in request order as they are produced.
+// Memory is bounded end to end: line splitter <= kMaxLineBytes, write
+// buffer cut off at max_write_buffer (the connection is dropped and
+// counted, never ballooned).
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -33,14 +27,8 @@ class Connection {
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  [[nodiscard]] std::uint64_t id() const { return id_; }
-
-  /// Reserves the next ordered response slot (async QUERY path).
-  std::uint64_t reserve_slot();
-  /// Fills a reserved slot; flushes every leading filled slot to the wire.
-  void fill_slot(std::uint64_t slot, std::string line);
-  /// reserve + fill in one step (synchronous commands and errors).
-  void push_response(std::string line);
+  /// Appends one reply line (terminator added) and writes.
+  void push_response(std::string_view line);
 
   /// After the current write buffer drains, close instead of reading on
   /// (the QUIT path). Further inbound lines are ignored.
@@ -59,8 +47,6 @@ class Connection {
   void on_ready(unsigned ready);
   void handle_read();
   void on_line(std::string_view line);
-  /// Appends flushable responses to the write buffer and writes.
-  void pump_responses();
   void try_write();
   /// Recomputes epoll interest from buffer state and liveness.
   void update_interest();
@@ -68,10 +54,6 @@ class Connection {
   Daemon& daemon_;
   std::uint64_t id_;
   proto::LineSplitter splitter_;
-
-  std::uint64_t next_slot_ = 0;     ///< next slot id to hand out
-  std::uint64_t flushed_slots_ = 0; ///< slots already moved to the buffer
-  std::deque<std::optional<std::string>> responses_;
 
   std::string write_buffer_;
   std::size_t write_offset_ = 0;

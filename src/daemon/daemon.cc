@@ -20,7 +20,7 @@ Daemon::Daemon(DaemonConfig config, std::shared_ptr<const serve::OracleSnapshot>
                      owned_registry_ = std::make_unique<obs::Registry>();
                      registry_ = owned_registry_.get();
                    }
-                   serve::ServerConfig server = config_.server;
+                   serve::ServerConfig server;
                    server.registry = registry_;
                    return server;
                  }(),
@@ -44,7 +44,6 @@ Daemon::Daemon(DaemonConfig config, std::shared_ptr<const serve::OracleSnapshot>
   udp_replies_ = &registry_->counter("daemon.udp.replies");
   conn_open_ = &registry_->gauge("daemon.conn.open");
   conn_high_water_ = &registry_->gauge("daemon.conn.high_water");
-  wall_request_us_ = &registry_->histogram("wall.daemon.request_us");
   // The reaped_idle counter exists from startup even if nothing is ever
   // reaped — ledger series show their zeros.
   registry_->counter("daemon.conn.reaped_idle");
@@ -132,24 +131,7 @@ void Daemon::dispatch_line(Connection& conn, std::string_view line) {
   switch (parsed->command) {
     case proto::Command::kQuery: {
       proto_queries_->inc();
-      const std::uint64_t slot = conn.reserve_slot();
-      const std::uint64_t conn_id = conn.id();
-      const std::uint64_t start_us = loop_.now_us();
-      const bool admitted = transport_.submit(
-          parsed->query,
-          [this, conn_id, slot, start_us](const serve::LookupResult& result,
-                                          SimTime /*latency*/) {
-            wall_request_us_->observe_us(
-                static_cast<std::int64_t>(loop_.now_us() - start_us));
-            const auto it = connections_.find(conn_id);
-            if (it == connections_.end()) return;  // closed before the answer
-            it->second->fill_slot(slot, proto::format_query_response(result));
-          });
-      if (!admitted) {
-        // The shed is already in the serve.shed_* ledger; the wire just
-        // reports it.
-        conn.fill_slot(slot, proto::format_error("overloaded", "request shed"));
-      }
+      conn.push_response(proto::format_query_response(transport_.answer(parsed->query)));
       return;
     }
     case proto::Command::kStats:
@@ -212,17 +194,8 @@ void Daemon::handle_udp_datagram(const sockaddr_in& peer, std::string_view paylo
   switch (parsed->command) {
     case proto::Command::kQuery: {
       proto_queries_->inc();
-      const std::uint64_t start_us = loop_.now_us();
-      const bool admitted = transport_.submit(
-          parsed->query,
-          [this, peer, start_us](const serve::LookupResult& result, SimTime /*latency*/) {
-            wall_request_us_->observe_us(
-                static_cast<std::int64_t>(loop_.now_us() - start_us));
-            udp_out_.push_back(UdpReply{peer, proto::format_query_response(result)});
-          });
-      if (!admitted) {
-        udp_out_.push_back(UdpReply{peer, proto::format_error("overloaded", "request shed")});
-      }
+      udp_out_.push_back(
+          UdpReply{peer, proto::format_query_response(transport_.answer(parsed->query))});
       return;
     }
     case proto::Command::kStats:
@@ -246,9 +219,6 @@ void Daemon::handle_udp_datagram(const sockaddr_in& peer, std::string_view paylo
 }
 
 void Daemon::post_dispatch() {
-  // Execute this iteration's admitted requests as one batched burst, then
-  // ship the datagram answers the burst produced.
-  transport_.pump();
   flush_udp();
   graveyard_.clear();
 }
@@ -269,7 +239,7 @@ void Daemon::flush_udp() {
 }
 
 std::string Daemon::stats_line() {
-  serve::OracleServer& server = transport_.server();
+  const serve::Oracle& oracle = transport_.oracle();
   std::string out = "OK STATS";
   const auto field = [&out](std::string_view key, std::uint64_t value) {
     out += ' ';
@@ -277,26 +247,23 @@ std::string Daemon::stats_line() {
     out += '=';
     out += std::to_string(value);
   };
-  field("offered", registry_->counter("serve.offered").value());
-  field("served", registry_->counter("serve.served").value());
-  field("shed", registry_->counter("serve.shed").value());
-  field("queue_depth", server.queue_depth());
+  field("lookups", registry_->counter("serve.lookups").value());
   field("conns", connections_.size());
   field("accepted", conn_accepted_->value());
   field("reaped_idle", idle_.reaped());
   field("proto_requests", proto_requests_->value());
   field("proto_rejected", proto_rejected_->value());
-  field("snapshot_version", server.snapshot() != nullptr ? server.snapshot()->version() : 0);
+  field("snapshot_version", oracle.snapshot() != nullptr ? oracle.snapshot()->version() : 0);
   field("swaps", registry_->counter("serve.snapshot_swaps").value());
   return out;
 }
 
 std::string Daemon::version_line() {
-  serve::OracleServer& server = transport_.server();
+  const serve::Oracle& oracle = transport_.oracle();
   std::string out = "OK VERSION proto=";
   out += std::to_string(proto::kProtoVersion);
   out += " snapshot=";
-  out += std::to_string(server.snapshot() != nullptr ? server.snapshot()->version() : 0);
+  out += std::to_string(oracle.snapshot() != nullptr ? oracle.snapshot()->version() : 0);
   return out;
 }
 
@@ -310,7 +277,7 @@ std::string Daemon::do_swap(const std::string& path) {
   }
   const std::uint64_t version = next->version();
   const std::size_t blocks = next->block_count();
-  transport_.server().swap_snapshot(std::move(next));
+  transport_.oracle().swap(std::move(next));
   std::string out = "OK SWAP version=";
   out += std::to_string(version);
   out += " blocks=";
@@ -351,10 +318,6 @@ void Daemon::finish_shutdown() {
   }
   flush_udp();
   udp_event_->close();
-  // Close the ledger: offered == served + shed + queued must hold in the
-  // dump validate_obs.py --serve checks.
-  transport_.pump();
-  transport_.server().finalize();
   dump_metrics();
   graveyard_.clear();
   loop_.stop();

@@ -2,16 +2,14 @@
 //
 // Wiring (DESIGN §18): one EventLoop thread owns everything. A TcpListener
 // accepts line-protocol clients into Connection objects; a UDP socket
-// serves one-datagram-one-request traffic; both feed parsed requests into
-// a NetTransport, which embeds the stock OracleServer on a logical-time
-// simulator. Once per loop iteration the transport pumps, executing the
-// iteration's requests as one batched burst and filling the ordered
-// response slots; connections silent for --max-idle-ms are reaped by an
+// serves one-datagram-one-request traffic; both answer each parsed QUERY
+// inline through a NetTransport (a serve::Oracle over the mapped
+// snapshot), so every reply is produced in request order while its line
+// is dispatched. Connections silent for --max-idle-ms are reaped by an
 // IdleGovernor. Admin operations ride the same protocol: STATS snapshots
-// the ledger, SWAP hot-swaps a new snapshot file mid-traffic, QUIT (or
-// SIGINT/SIGTERM) runs the graceful drain — flush replies, finalize the
-// serving ledger so offered == served + shed + queued closes, dump
-// metrics, exit.
+// the counters, SWAP hot-swaps a new snapshot file mid-traffic, QUIT (or
+// SIGINT/SIGTERM) runs the graceful drain — flush replies, dump metrics,
+// exit.
 #pragma once
 
 #include <cstdint>
@@ -39,17 +37,13 @@ struct DaemonConfig {
   std::uint16_t tcp_port = 0;  ///< 0 = ephemeral (port_file tells the truth)
   std::uint16_t udp_port = 0;
   /// Accepts beyond this are refused with `ERR overloaded` and counted
-  /// under daemon.conn.rejected_overload — connection-level shedding in
-  /// front of the server's own request-level shedding.
+  /// under daemon.conn.rejected_overload.
   std::size_t max_connections = 1024;
   std::size_t read_chunk = 4096;
   /// Write-buffer cutoff per connection; a slower-than-its-answers client
   /// is dropped and counted (daemon.conn.dropped_backpressure).
   std::size_t max_write_buffer = 256 * 1024;
 
-  /// Serving brain configuration. `registry` is overridden with the
-  /// daemon's registry so serve.* and daemon.* share one dump.
-  serve::ServerConfig server;
   IdleConfig idle;
   EventLoop::Config loop;
 
@@ -76,7 +70,7 @@ class Daemon {
   [[nodiscard]] std::uint16_t tcp_port() const { return tcp_listener_->port(); }
   [[nodiscard]] std::uint16_t udp_port() const { return udp_port_; }
   [[nodiscard]] EventLoop& loop() { return loop_; }
-  [[nodiscard]] serve::OracleServer& server() { return transport_.server(); }
+  [[nodiscard]] serve::Oracle& oracle() { return transport_.oracle(); }
   [[nodiscard]] obs::Registry& registry() { return *registry_; }
 
   // --- Connection plumbing (called by Connection) ---
@@ -134,7 +128,7 @@ class Daemon {
   /// from inside a connection's own dispatch must not free its stack.
   std::vector<std::unique_ptr<Connection>> graveyard_;
 
-  /// UDP replies queued until after the post-dispatch pump (sendto then).
+  /// UDP replies queued until the iteration's post-dispatch hook (sendto then).
   struct UdpReply {
     sockaddr_in peer{};
     std::string line;
@@ -156,7 +150,6 @@ class Daemon {
   obs::Counter* udp_replies_;            ///< "daemon.udp.replies"
   obs::Gauge* conn_open_;                ///< "daemon.conn.open"
   obs::Gauge* conn_high_water_;          ///< "daemon.conn.high_water"
-  obs::Histogram* wall_request_us_;      ///< "wall.daemon.request_us" (quarantined)
 };
 
 }  // namespace turtle::daemon

@@ -1,54 +1,56 @@
-// The network-side implementation of the serve::Transport seam.
+// turtled's serve path: the wire codec's parsed requests, answered by a
+// serve::Oracle.
 //
-// The daemon does not reimplement serving — it embeds the same
-// OracleServer the simulation uses, hosted on a private simulator whose
-// clock is *logical*: it advances only when pump() drains submitted work,
-// by exactly the modeled service time (batch overhead + per-request
-// cache hit/miss cost). That buys two things:
-//
-//   * every piece of serving machinery is reused verbatim — bounded
-//     queue, counted shedding, LRU working set, batching, hot swap,
-//     the whole serve.* ledger validate_obs.py --serve checks;
-//   * the ledger stays a pure function of the request byte stream. Two
-//     daemons fed the same requests in the same order produce identical
-//     serve.* dumps regardless of wall-clock jitter — the determinism
-//     boundary lives here, between the epoll loop (wall time, wall.*
-//     metrics only) and the serving brain (logical time).
-//
-// The event loop calls pump() once per poll iteration, so all requests
-// read in one iteration execute as one batched burst — the same batching
-// economics the simulator established.
+// Every QUERY is answered inline, in request order: no queue, no batching,
+// no modeled service time, and so no way to shed. The daemon hosts no
+// simulator; the oracle is clock-free, so the serve.* counters it keeps
+// are a pure function of the request byte stream however the kernel
+// batched the reads. `turtlectl --local` builds this same binding, so the
+// smoke test's network == in-process byte comparison runs the daemon's
+// exact serve path.
 #pragma once
 
 #include <memory>
+#include <utility>
 
+#include "serve/oracle.h"
 #include "serve/oracle_server.h"
 #include "serve/oracle_snapshot.h"
-#include "serve/transport.h"
-#include "sim/simulator.h"
+#include "util/sim_time.h"
 
 namespace turtle::daemon {
 
-class NetTransport final : public serve::Transport {
+class NetTransport {
  public:
-  /// `config.registry` should be the daemon's registry so serve.* and
-  /// daemon.* land in one dump. The embedded simulator deliberately gets
-  /// no registry: its sim.* engine counters would vary with poll timing.
-  NetTransport(serve::ServerConfig config,
-               std::shared_ptr<const serve::OracleSnapshot> snapshot);
+  /// Uses only `config.registry` (null: a private one) and
+  /// `config.policy_engine`; the in-sim queue-model fields do not apply.
+  /// Pass the daemon's registry so serve.* and daemon.* share one dump.
+  NetTransport(const serve::ServerConfig& config,
+               std::shared_ptr<const serve::OracleSnapshot> snapshot)
+      : oracle_{config.registry, std::move(snapshot), config.policy_engine} {}
 
-  bool submit(const serve::Request& request, serve::OracleServer::Callback callback) override;
+  NetTransport(const NetTransport&) = delete;
+  NetTransport& operator=(const NetTransport&) = delete;
 
-  /// Drains the embedded simulator: every admitted request's batch runs
-  /// and its callback fires before this returns.
-  void pump() override;
+  [[nodiscard]] serve::LookupResult answer(const serve::Request& request) {
+    return oracle_.answer(request);
+  }
 
-  [[nodiscard]] serve::OracleServer& server() override { return server_; }
+  /// Callback form of answer(): `callback(result, SimTime{})` runs before
+  /// submit returns. Kept, with pump(), for the call shapes of
+  /// turtlebench's in-process replay (turtlebench/src/replay.cc).
+  template <typename Callback>
+  void submit(const serve::Request& request, Callback&& callback) {
+    callback(answer(request), SimTime{});
+  }
+
+  /// No-op: submit already answered. Kept for the same replay.
+  void pump() {}
+
+  [[nodiscard]] serve::Oracle& oracle() { return oracle_; }
 
  private:
-  sim::Simulator sim_;
-  serve::OracleServer server_;
-  bool dirty_ = false;
+  serve::Oracle oracle_;
 };
 
 }  // namespace turtle::daemon

@@ -24,7 +24,7 @@
 #include <string>
 #include <string_view>
 
-#include "serve/oracle_server.h"
+#include "serve/oracle.h"
 #include "serve/oracle_snapshot.h"
 
 namespace turtle::daemon::proto {

@@ -8,31 +8,11 @@ namespace turtle::serve {
 
 LoadGenerator::LoadGenerator(sim::Simulator& sim, OracleServer& server, LoadGenConfig config,
                              util::Prng rng)
-    : LoadGenerator{sim, std::make_unique<SimTransport>(server), std::move(config),
-                    std::move(rng)} {}
-
-LoadGenerator::LoadGenerator(sim::Simulator& sim, std::unique_ptr<SimTransport> owned,
-                             LoadGenConfig config, util::Prng rng)
     : sim_{sim},
-      owned_transport_{std::move(owned)},
-      transport_{*owned_transport_},
+      server_{server},
       config_{std::move(config)},
       rng_{std::move(rng)},
       sampler_{rng_.fork(1)} {
-  init();
-}
-
-LoadGenerator::LoadGenerator(sim::Simulator& sim, Transport& transport, LoadGenConfig config,
-                             util::Prng rng)
-    : sim_{sim},
-      transport_{transport},
-      config_{std::move(config)},
-      rng_{std::move(rng)},
-      sampler_{rng_.fork(1)} {
-  init();
-}
-
-void LoadGenerator::init() {
   TURTLE_CHECK_GT(config_.rate_per_s, 0.0);
   TURTLE_CHECK(!config_.blocks.empty()) << "load generator needs target blocks";
   TURTLE_CHECK(!config_.coverage_pairs.empty());
@@ -73,7 +53,7 @@ void LoadGenerator::fire() {
     traced_->inc();
   }
   requests_->inc();
-  transport_.submit(request, [this](const LookupResult& /*result*/, SimTime latency) {
+  server_.submit(request, [this](const LookupResult& /*result*/, SimTime latency) {
     responses_->inc();
     latencies_us_.push_back(latency.as_micros());
   });

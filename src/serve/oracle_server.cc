@@ -4,20 +4,18 @@
 #include <utility>
 
 #include "net/packet.h"
-#include "serve/policy_engine.h"
 #include "util/check.h"
 
 namespace turtle::serve {
 
 OracleServer::OracleServer(sim::Simulator& sim, ServerConfig config,
                            std::shared_ptr<const OracleSnapshot> snapshot)
-    : sim_{sim}, config_{std::move(config)}, snapshot_{std::move(snapshot)} {
+    : sim_{sim},
+      config_{std::move(config)},
+      oracle_{config_.registry, std::move(snapshot), config_.policy_engine} {
   TURTLE_CHECK_GT(config_.queue_capacity, 0u);
   TURTLE_CHECK_GT(config_.batch_size, 0u);
-  if (config_.registry == nullptr) {
-    owned_registry_ = std::make_unique<obs::Registry>();
-    config_.registry = owned_registry_.get();
-  }
+  config_.registry = &oracle_.registry();
   obs::Registry& registry = *config_.registry;
   offered_ = &registry.counter("serve.offered");
   served_ = &registry.counter("serve.served");
@@ -26,22 +24,13 @@ OracleServer::OracleServer(sim::Simulator& sim, ServerConfig config,
   shed_down_ = &registry.counter("serve.shed_down");
   shed_net_ = &registry.counter("serve.shed_net");
   queued_ = &registry.counter("serve.queued");
-  lookups_ = &registry.counter("serve.lookups");
   cache_hits_ = &registry.counter("serve.cache_hits");
   cache_misses_ = &registry.counter("serve.cache_misses");
   batches_ = &registry.counter("serve.batches");
-  snapshot_swaps_ = &registry.counter("serve.snapshot_swaps");
   snapshot_rebuilds_ = &registry.counter("serve.snapshot_rebuilds");
   snapshot_reloads_ = &registry.counter("serve.snapshot_reloads");
-  scope_block_ = &registry.counter("serve.scope_block");
-  scope_as_ = &registry.counter("serve.scope_as");
-  scope_global_ = &registry.counter("serve.scope_global");
   queue_high_water_ = &registry.gauge("serve.queue_high_water");
-  snapshot_version_ = &registry.gauge("serve.snapshot_version");
   latency_ = &registry.histogram("serve.latency");
-  if (snapshot_ != nullptr) {
-    snapshot_version_->set_max(static_cast<std::int64_t>(snapshot_->version()));
-  }
 }
 
 bool OracleServer::submit(const Request& request, Callback callback) {
@@ -171,30 +160,8 @@ void OracleServer::start_batch() {
     cost = cost + touch_cache(pending.request.addr);
     // Results are computed at dispatch against the snapshot serving *now*;
     // a swap landing before the batch completes does not retroactively
-    // change answers already in flight. With a policy engine configured
-    // the request's policy answers instead — warm per-/24 estimators at
-    // block scope, cold ones through the engine's snapshot fallback — so
-    // the scope_* accounting below covers both paths uniformly.
-    LookupResult result;
-    if (config_.policy_engine != nullptr) {
-      result = config_.policy_engine->answer(pending.request.policy_id,
-                                             pending.request.addr);
-    } else if (snapshot_ != nullptr) {
-      result = snapshot_->lookup(pending.request.addr, pending.request.addr_coverage,
-                                 pending.request.ping_coverage, pending.request.min_scope);
-    }
-    lookups_->inc();
-    switch (result.scope) {
-      case LookupScope::kBlock:
-        scope_block_->inc();
-        break;
-      case LookupScope::kAs:
-        scope_as_->inc();
-        break;
-      case LookupScope::kGlobal:
-        scope_global_->inc();
-        break;
-    }
+    // change answers already in flight.
+    const LookupResult result = oracle_.answer(pending.request);
     if (pending.request.trace_id != 0) {
       // Queue wait, then this request's slice of the batch: the overhead
       // plus every earlier request's service time precedes exec_start, so
@@ -254,15 +221,11 @@ void OracleServer::complete_batch(std::uint64_t epoch) {
 
 void OracleServer::swap_snapshot(std::shared_ptr<const OracleSnapshot> snapshot) {
   const util::MutexLock lock{mu_};
-  snapshot_ = std::move(snapshot);
-  snapshot_swaps_->inc();
+  oracle_.swap(std::move(snapshot));
   // The working set described the old snapshot's aggregates; a swapped-in
   // snapshot starts cold.
   lru_.clear();
   lru_index_.clear();
-  if (snapshot_ != nullptr) {
-    snapshot_version_->set_max(static_cast<std::int64_t>(snapshot_->version()));
-  }
   TURTLE_TRACE(config_.trace, instant("serve.snapshot_swap", "serve", sim_.now()));
 }
 
@@ -280,7 +243,7 @@ void OracleServer::crash(SimTime restart_delay) {
   for (std::size_t i = 0; i < queue_.size(); ++i) shed(ShedReason::kDown);
   queue_.clear();
   busy_ = false;
-  snapshot_.reset();
+  oracle_.install(nullptr);  // the dead process's snapshot is lost, uncounted
   lru_.clear();
   lru_index_.clear();
   TURTLE_TRACE(config_.trace, instant("serve.crash", "serve", sim_.now()));
@@ -307,11 +270,8 @@ void OracleServer::restart() {
     snapshot_rebuilds_->inc();
     install = true;
   }
-  if (next != nullptr) {
-    snapshot_version_->set_max(static_cast<std::int64_t>(next->version()));
-  }
   const util::MutexLock lock{mu_};
-  if (install) snapshot_ = std::move(next);
+  if (install) oracle_.install(std::move(next));
   down_ = false;
   TURTLE_TRACE(config_.trace, instant("serve.restart", "serve", sim_.now()));
   if (!busy_ && !queue_.empty()) start_batch();

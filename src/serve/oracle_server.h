@@ -1,6 +1,7 @@
-// A sim-hosted timeout-oracle server: bounded queue, admission control
-// with counted load-shedding, batched execution, an LRU working set over
-// block aggregates, and atomic snapshot hot-swap.
+// The in-sim queueing model in front of the oracle: bounded queue,
+// admission control with counted load-shedding, batched execution, an LRU
+// working set over block aggregates, crash/recovery, and snapshot
+// hot-swap. The answers themselves come from a serve::Oracle it holds.
 //
 // The server runs entirely inside the simulator so a serving experiment is
 // as deterministic and fault-injectable as a survey: requests arrive as
@@ -9,7 +10,8 @@
 // or duplicated on its way in. Accounting discipline: every offered
 // request ends in exactly one of served / shed / still-queued-at-finalize,
 // and sheds are attributed (overload vs server-down vs network fault) —
-// nothing is ever silently dropped.
+// nothing is ever silently dropped. turtled does not use this model: it
+// answers through the Oracle directly (daemon::NetTransport).
 #pragma once
 
 #include <cstdint>
@@ -25,6 +27,7 @@
 #include "obs/exemplar.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/oracle.h"
 #include "serve/oracle_snapshot.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -34,8 +37,6 @@
 #include "util/thread_annotations.h"
 
 namespace turtle::serve {
-
-class PolicyEngine;
 
 struct ServerConfig {
   /// Bounded request queue; arrivals beyond this are shed (counted under
@@ -87,27 +88,6 @@ struct ServerConfig {
   obs::ExemplarStore* exemplars = nullptr;
 };
 
-/// One oracle query.
-struct Request {
-  net::Ipv4Address addr;
-  double addr_coverage = 95.0;
-  double ping_coverage = 95.0;
-  /// Nonzero: this request was sampled by the load generator's trace
-  /// sampler. The server emits admission/queue/exec/end-to-end spans
-  /// tagged with this id, and its completion latency becomes an exemplar
-  /// candidate. 0 (the default) means untraced — zero extra work.
-  std::uint64_t trace_id = 0;
-  /// Which policy answers this request when ServerConfig::policy_engine
-  /// is set: 0 = the static snapshot baseline, 1.. = register_policy ids.
-  /// Ignored without an engine.
-  std::uint32_t policy_id = 0;
-  /// Coarsest-tier forcing for snapshot-path lookups (the wire protocol's
-  /// `scope=` selector): kAs skips the per-/24 probe, kGlobal answers
-  /// straight from the Table 2 matrix. Requests routed through a policy
-  /// engine ignore this — an adaptive policy decides its own scope.
-  LookupScope min_scope = LookupScope::kBlock;
-};
-
 class OracleServer {
  public:
   /// Response callback: the lookup answer plus the request's sim-time
@@ -129,19 +109,15 @@ class OracleServer {
   /// admitted as independent requests with no callback.
   ///
   /// Returns false iff the request was shed synchronously (server down,
-  /// queue full, or fault-injected drop) — the network backend turns that
-  /// into an immediate `ERR overloaded` reply while the serve.shed_*
-  /// accounting stays the single source of truth. True means the request
-  /// was admitted (or deferred by a fault-injected entry delay, in which
-  /// case it may still shed later without firing the callback — a
-  /// sim-only path; the daemon runs without a fault hook on admission).
+  /// queue full, or fault-injected drop). True means the request was
+  /// admitted, or deferred by a fault-injected entry delay, in which case
+  /// it may still shed later without firing the callback.
   bool submit(const Request& request, Callback callback) TURTLE_EXCLUDES(mu_);
 
   /// Atomically replaces the serving snapshot. Requests already dispatched
   /// keep the results computed against the old snapshot; the working-set
   /// cache is invalidated (its contents described the old aggregates).
-  /// Safe to call from an admin thread once the daemon backend lands: the
-  /// swap happens under mu_, the same lock the dispatch path holds.
+  /// The swap happens under mu_, the same lock the dispatch path holds.
   void swap_snapshot(std::shared_ptr<const OracleSnapshot> snapshot)
       TURTLE_EXCLUDES(mu_);
 
@@ -180,7 +156,7 @@ class OracleServer {
   }
   [[nodiscard]] const OracleSnapshot* snapshot() const TURTLE_EXCLUDES(mu_) {
     const util::MutexLock lock{mu_};
-    return snapshot_.get();
+    return oracle_.snapshot();
   }
 
  private:
@@ -219,12 +195,14 @@ class OracleServer {
   sim::FaultHook* fault_hook_ = nullptr;
 
   /// Guards every piece of serving state below: the queue, the dispatch
-  /// batch, the LRU working set, the snapshot pointer the swap path
-  /// replaces, and the crash-epoch guard. In-sim use is single-threaded
-  /// (every acquisition uncontended); the lock is the contract the
-  /// event-loop daemon and admin hot-swap threads will rely on.
+  /// batch, the LRU working set, the oracle (whose snapshot the swap path
+  /// replaces), and the crash-epoch guard. In-sim use is single-threaded
+  /// (every acquisition uncontended); the lock is the contract concurrent
+  /// admin hot-swap threads would rely on.
   mutable util::Mutex mu_;
-  std::shared_ptr<const OracleSnapshot> snapshot_ TURTLE_GUARDED_BY(mu_);
+  /// Built from config_'s registry; owns the fallback registry when the
+  /// config has none.
+  Oracle oracle_ TURTLE_GUARDED_BY(mu_);
   std::deque<Pending> queue_ TURTLE_GUARDED_BY(mu_);
   std::vector<InFlight> in_flight_ TURTLE_GUARDED_BY(mu_);
   bool busy_ TURTLE_GUARDED_BY(mu_) = false;
@@ -238,12 +216,9 @@ class OracleServer {
   std::unordered_map<std::uint32_t, std::list<std::uint32_t>::iterator> lru_index_
       TURTLE_GUARDED_BY(mu_);
 
-  /// Private registry used when the config has none, so the accounting
-  /// pointers below are always live (accessor-style uses in tests).
-  std::unique_ptr<obs::Registry> owned_registry_;
-
-  // serve.* metrics, created eagerly so every serving run shows the full
-  // accounting series (zeros included).
+  // serve.* queue-model metrics, created eagerly so every serving run shows
+  // the full accounting series (zeros included). The answer-side counters
+  // (lookups, scope tiers, swaps, snapshot version) live in oracle_.
   obs::Counter* offered_;           ///< "serve.offered"
   obs::Counter* served_;            ///< "serve.served"
   obs::Counter* shed_;              ///< "serve.shed"
@@ -251,18 +226,12 @@ class OracleServer {
   obs::Counter* shed_down_;         ///< "serve.shed_down"
   obs::Counter* shed_net_;          ///< "serve.shed_net"
   obs::Counter* queued_;            ///< "serve.queued" (finalize leftovers)
-  obs::Counter* lookups_;           ///< "serve.lookups"
   obs::Counter* cache_hits_;        ///< "serve.cache_hits"
   obs::Counter* cache_misses_;      ///< "serve.cache_misses"
   obs::Counter* batches_;           ///< "serve.batches"
-  obs::Counter* snapshot_swaps_;    ///< "serve.snapshot_swaps"
   obs::Counter* snapshot_rebuilds_; ///< "serve.snapshot_rebuilds"
   obs::Counter* snapshot_reloads_;  ///< "serve.snapshot_reloads"
-  obs::Counter* scope_block_;       ///< "serve.scope_block"
-  obs::Counter* scope_as_;          ///< "serve.scope_as"
-  obs::Counter* scope_global_;      ///< "serve.scope_global"
   obs::Gauge* queue_high_water_;    ///< "serve.queue_high_water"
-  obs::Gauge* snapshot_version_;    ///< "serve.snapshot_version"
   obs::Histogram* latency_;         ///< "serve.latency"
 
   // Fault-observation counters, created lazily on first use so faultless

@@ -19,7 +19,7 @@
 //     *exactly* the offline recommendation for the same matrix cell.
 //
 // Snapshots are immutable after build() and carry a version; the serving
-// layer (OracleServer) hot-swaps to a newer snapshot atomically while
+// layer (serve::Oracle) hot-swaps to a newer snapshot atomically while
 // in-flight requests finish on the one they were dispatched against.
 #pragma once
 
@@ -92,9 +92,10 @@ struct LookupResult {
 /// public const accessor reads only frozen state (core::P2Quantile::value
 /// is const with no mutable members), so concurrent lookup() calls from
 /// many serving threads need no lock. The one guarded thing is *which*
-/// snapshot is live, and that pointer lives in OracleServer under its
-/// mu_ (TURTLE_GUARDED_BY) — in-flight requests keep their dispatch-time
-/// shared_ptr, so a hot-swap never frees a snapshot mid-lookup.
+/// snapshot is live, and that pointer lives in a serve::Oracle — under
+/// OracleServer's mu_ (TURTLE_GUARDED_BY) in the sim — and in-flight
+/// requests keep their dispatch-time shared_ptr, so a hot-swap never frees
+/// a snapshot mid-lookup.
 class OracleSnapshot {
  public:
   /// Builds from a grouped dataset (mutated by the filtering pipeline —

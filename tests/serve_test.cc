@@ -1,6 +1,7 @@
-// turtle::serve — snapshot tiering and recommendation parity, server
-// accounting/shedding/caching/hot-swap/crash-recovery, and load-generator
-// determinism across shard counts.
+// turtle::serve — snapshot tiering and recommendation parity, the Oracle's
+// answers and counters, server accounting/shedding/caching/hot-swap/
+// crash-recovery, and load-generator determinism across shard counts.
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -13,9 +14,9 @@
 #include "hosts/asdb.h"
 #include "hosts/geodb.h"
 #include "serve/load_generator.h"
+#include "serve/oracle.h"
 #include "serve/oracle_server.h"
 #include "serve/oracle_snapshot.h"
-#include "serve/transport.h"
 #include "sim/shard_runner.h"
 #include "sim/simulator.h"
 #include "util/stats.h"
@@ -119,9 +120,9 @@ TEST(OracleSnapshot, GlobalFallbackMatchesRecommendTimeoutEverywhere) {
   }
 }
 
-TEST(OracleSnapshot, AsTierBridgesSparseBlocks) {
-  // Block A has plenty of samples; block B (same AS) too few for block
-  // scope but the AS pool qualifies.
+/// Block A has plenty of samples; block B (same AS) too few for block
+/// scope but the AS pool qualifies.
+OracleSnapshot as_bridged_snapshot() {
   probe::RecordLog log = make_log({kBlockA}, 4, 10);  // 40 samples
   const probe::RecordLog sparse_log = make_log({kBlockB}, 1, 8);
   for (const auto& record : sparse_log.records()) log.append(record);
@@ -137,7 +138,11 @@ TEST(OracleSnapshot, AsTierBridgesSparseBlocks) {
   auto config = small_config();
   config.min_block_samples = 25;
   config.min_as_samples = 40;
-  const auto snapshot = OracleSnapshot::build(log, config, &geo);
+  return OracleSnapshot::build(log, config, &geo);
+}
+
+TEST(OracleSnapshot, AsTierBridgesSparseBlocks) {
+  const auto snapshot = as_bridged_snapshot();
   EXPECT_EQ(snapshot.as_count(), 1u);
 
   EXPECT_EQ(snapshot.lookup(kBlockA.address(1), 95, 95).scope, LookupScope::kBlock);
@@ -166,6 +171,67 @@ std::shared_ptr<const OracleSnapshot> test_snapshot(std::uint64_t version = 1) {
 
 std::uint64_t counter(obs::Registry& registry, const char* name) {
   return registry.counter(name).value();
+}
+
+TEST(Oracle, AnswersAreSnapshotLookupsCountedByScope) {
+  obs::Registry registry;
+  const auto snapshot = std::make_shared<const OracleSnapshot>(as_bridged_snapshot());
+  serve::Oracle oracle{&registry, snapshot};
+
+  const std::vector<serve::Request> requests = {
+      {.addr = kBlockA.address(1)},                                      // block
+      {.addr = kBlockB.address(1)},                                      // AS bridge
+      {.addr = kBlockDark.address(1)},                                   // global
+      {.addr = kBlockA.address(2), .min_scope = LookupScope::kAs},       // forced AS
+      {.addr = kBlockA.address(3), .addr_coverage = 50, .ping_coverage = 99,
+       .min_scope = LookupScope::kGlobal},                               // forced global
+  };
+  std::map<LookupScope, std::uint64_t> scopes;
+  for (const serve::Request& request : requests) {
+    const LookupResult got = oracle.answer(request);
+    const LookupResult want = snapshot->lookup(request.addr, request.addr_coverage,
+                                               request.ping_coverage, request.min_scope);
+    EXPECT_EQ(got.timeout, want.timeout);
+    EXPECT_EQ(got.scope, want.scope);
+    EXPECT_EQ(got.samples, want.samples);
+    EXPECT_EQ(got.confidence, want.confidence);
+    EXPECT_EQ(got.version, want.version);
+    ++scopes[got.scope];
+  }
+  // Every tier answered at least once, and each lookup counts one tier.
+  ASSERT_EQ(scopes.size(), 3u);
+  EXPECT_EQ(counter(registry, "serve.lookups"), requests.size());
+  EXPECT_EQ(counter(registry, "serve.scope_block"), scopes[LookupScope::kBlock]);
+  EXPECT_EQ(counter(registry, "serve.scope_as"), scopes[LookupScope::kAs]);
+  EXPECT_EQ(counter(registry, "serve.scope_global"), scopes[LookupScope::kGlobal]);
+  EXPECT_EQ(counter(registry, "serve.snapshot_swaps"), 0u);
+}
+
+TEST(Oracle, NullSnapshotAnswersZeroConfidenceGlobalAndSwapCountsOnce) {
+  obs::Registry registry;
+  serve::Oracle oracle{&registry, nullptr};
+  const serve::Request request{kBlockA.address(1), 95, 95};
+
+  const LookupResult empty = oracle.answer(request);
+  EXPECT_EQ(empty.scope, LookupScope::kGlobal);
+  EXPECT_EQ(empty.timeout, SimTime{});
+  EXPECT_EQ(empty.confidence, 0.0);
+  EXPECT_EQ(empty.version, 0u);
+
+  oracle.swap(test_snapshot(7));
+  EXPECT_EQ(counter(registry, "serve.snapshot_swaps"), 1u);
+  EXPECT_EQ(registry.gauge("serve.snapshot_version").value(), 7);
+  EXPECT_EQ(oracle.answer(request).version, 7u);
+
+  // install() is the crash path's uncounted replacement.
+  oracle.install(test_snapshot(9));
+  EXPECT_EQ(counter(registry, "serve.snapshot_swaps"), 1u);
+  EXPECT_EQ(registry.gauge("serve.snapshot_version").value(), 9);
+
+  EXPECT_EQ(counter(registry, "serve.lookups"), 2u);
+  EXPECT_EQ(counter(registry, "serve.scope_block") + counter(registry, "serve.scope_as") +
+                counter(registry, "serve.scope_global"),
+            2u);
 }
 
 TEST(OracleServer, AccountingClosesOnCleanRun) {
@@ -401,47 +467,10 @@ TEST(LoadGenerator, ShardedMetricsAreByteIdenticalAcrossJobs) {
   EXPECT_NE(serial.find("serve.offered"), std::string::npos);
 }
 
-/// Same shape as run_sharded_metrics but routed through an explicit
-/// SimTransport — the seam the daemon's NetTransport shares.
-std::string run_transport_metrics(int jobs) {
-  obs::Registry merged;
-  sim::ShardOptions options;
-  options.jobs = jobs;
-  options.seed = 99;
-  options.metrics = &merged;
-  sim::ShardRunner runner{options};
-  runner.run(4, [](sim::ShardContext& ctx) {
-    sim::Simulator sim{ctx.registry};
-    serve::ServerConfig config;
-    config.registry = ctx.registry;
-    config.queue_capacity = 16;
-    OracleServer server{sim, config,
-                        std::make_shared<const OracleSnapshot>(OracleSnapshot::build(
-                            make_log({kBlockA, kBlockB}, 3, 10,
-                                     1.0 + static_cast<double>(ctx.shard_index)),
-                            small_config()))};
-    serve::SimTransport transport{server};
-    serve::LoadGenConfig gen_config;
-    gen_config.rate_per_s = 2000;
-    gen_config.duration = SimTime::seconds(2);
-    gen_config.blocks = {kBlockA, kBlockB};
-    gen_config.registry = ctx.registry;
-    serve::LoadGenerator generator{sim, transport, gen_config, ctx.rng.fork(1)};
-    generator.start();
-    sim.run();
-    server.finalize();
-    return 0;
-  });
-  return merged.to_json();
-}
-
 TEST(Transport, InSimBackendIsByteIdenticalAcrossJobs) {
-  const std::string serial = run_transport_metrics(1);
-  EXPECT_EQ(serial, run_transport_metrics(8));
+  const std::string serial = run_sharded_metrics(1);
+  EXPECT_EQ(serial, run_sharded_metrics(8));
   EXPECT_NE(serial.find("serve.offered"), std::string::npos);
-  // And the seam is invisible: explicit SimTransport produces the exact
-  // dump the convenience OracleServer& path produces.
-  EXPECT_EQ(serial, run_sharded_metrics(1));
 }
 
 }  // namespace

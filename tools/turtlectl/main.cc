@@ -9,10 +9,11 @@
 // backends answer it:
 //
 //   * TCP (default) and UDP (--udp) talk to a running turtled;
-//   * --local=<snapshot> runs the same proto codec and NetTransport stack
-//     in-process against the mapped file — no daemon, no sockets. The
-//     smoke test byte-compares this against the network answers, which is
-//     the acceptance check that the daemon serves the oracle unmodified.
+//   * --local=<snapshot> runs the daemon's own serve path in-process — the
+//     same proto codec and NetTransport over the mapped file, no daemon, no
+//     sockets. The smoke test byte-compares this against the network
+//     answers, which is the acceptance check that the daemon serves the
+//     oracle unmodified.
 //
 // --timeout-ms bounds every socket wait. Its default practices what the
 // paper preaches: the client first asks the oracle itself (a bootstrap
@@ -195,16 +196,8 @@ int run_local(const std::string& snapshot_path, const std::string& line) {
     return 2;
   }
   daemon::NetTransport transport{serve::ServerConfig{}, snapshot};
-  std::string reply;
-  const bool admitted = transport.submit(
-      parsed->query, [&reply](const serve::LookupResult& result, SimTime /*latency*/) {
-        reply = daemon::proto::format_query_response(result);
-      });
-  transport.pump();
-  if (!admitted || reply.empty()) {
-    std::fprintf(stderr, "turtlectl: local submit failed\n");
-    return 2;
-  }
+  const std::string reply =
+      daemon::proto::format_query_response(transport.answer(parsed->query));
   std::printf("%s\n", reply.c_str());
   return exit_code(reply);
 }

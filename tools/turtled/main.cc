@@ -5,8 +5,8 @@
 //
 // Ports default to 0 (kernel-assigned); pass --port-file so scripts can
 // learn the actual bindings. SIGINT/SIGTERM (and the wire QUIT) trigger
-// the graceful drain: flush replies, finalize the serve.* ledger, dump
-// metrics, exit 0. See src/daemon/PROTOCOL.md for the wire grammar.
+// the graceful drain: flush replies, dump metrics, exit 0. See
+// src/daemon/PROTOCOL.md for the wire grammar.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -59,8 +59,6 @@ int main(int argc, char** argv) {
                    snapshot_path.c_str(), error.c_str());
       return 1;
     }
-    // Crash recovery prefers remapping the same file.
-    config.server.snapshot_path = snapshot_path;
   } else {
     std::fprintf(stderr,
                  "turtled: no --snapshot; serving zero-confidence global "
@@ -78,7 +76,7 @@ int main(int argc, char** argv) {
   std::printf("turtled: serving on %s tcp=%u udp=%u (snapshot v%llu)\n",
               daemon.config().bind_addr.c_str(), daemon.tcp_port(), daemon.udp_port(),
               static_cast<unsigned long long>(
-                  daemon.server().snapshot() != nullptr ? daemon.server().snapshot()->version()
+                  daemon.oracle().snapshot() != nullptr ? daemon.oracle().snapshot()->version()
                                                         : 0));
   std::fflush(stdout);
   daemon.run();
