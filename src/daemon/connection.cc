@@ -3,11 +3,16 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <vector>
 
 #include "daemon/daemon.h"
 
 namespace turtle::daemon {
+namespace {
+
+/// Bytes per read(2).
+constexpr std::size_t kReadChunk = 4096;
+
+}  // namespace
 
 Connection::Connection(Daemon& daemon, std::uint64_t id, int fd)
     : daemon_{daemon},
@@ -30,18 +35,18 @@ void Connection::on_ready(unsigned ready) {
 }
 
 void Connection::handle_read() {
-  std::vector<char> buf(daemon_.config().read_chunk);
-  while (!dead_) {
-    const ssize_t n = ::read(event_.fd(), buf.data(), buf.size());
+  char buf[kReadChunk];
+  while (!dead_ && !close_after_flush_) {
+    const ssize_t n = ::read(event_.fd(), buf, sizeof buf);
     if (n > 0) {
       daemon_.touch_idle(id_);
-      splitter_.feed(std::string_view{buf.data(), static_cast<std::size_t>(n)},
+      splitter_.feed(std::string_view{buf, static_cast<std::size_t>(n)},
                      [this](std::string_view line) { on_line(line); },
-                     [this] { daemon_.on_line_overflow(*this); });
+                     [this] { push_response(daemon_.reject_overflow()); });
       continue;
     }
-    if (n == 0) {  // peer closed its end
-      daemon_.close_connection(id_, Daemon::CloseReason::kPeer);
+    if (n == 0) {  // peer closed its sending half: answer what it asked, then close
+      request_close_after_flush();
       return;
     }
     if (errno == EINTR) continue;
@@ -55,7 +60,9 @@ void Connection::on_line(std::string_view line) {
   // After QUIT (or a mid-feed close) the remaining pipelined input is
   // ignored: the protocol defines QUIT as the connection's last word.
   if (dead_ || close_after_flush_) return;
-  daemon_.dispatch_line(*this, line);
+  const Daemon::Reply reply = daemon_.handle_request(line);
+  push_response(reply.line);
+  if (reply.quit) request_close_after_flush();
 }
 
 void Connection::push_response(std::string_view line) {
@@ -69,10 +76,10 @@ void Connection::push_response(std::string_view line) {
   try_write();
 }
 
-bool Connection::flush() {
-  if (dead_) return true;
+void Connection::request_close_after_flush() {
+  if (dead_) return;
+  close_after_flush_ = true;
   try_write();
-  return dead_ || write_offset_ == write_buffer_.size();
 }
 
 void Connection::try_write() {
@@ -101,7 +108,9 @@ void Connection::try_write() {
 
 void Connection::update_interest() {
   if (dead_) return;
-  unsigned interest = SocketEvent::kRead;
+  // While closing after flush, read interest is dropped: a level-triggered
+  // EOF would otherwise wake the loop on every poll.
+  unsigned interest = close_after_flush_ ? 0 : SocketEvent::kRead;
   if (write_offset_ < write_buffer_.size()) interest |= SocketEvent::kWrite;
   event_.schedule(interest);
 }

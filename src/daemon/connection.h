@@ -30,12 +30,10 @@ class Connection {
   /// Appends one reply line (terminator added) and writes.
   void push_response(std::string_view line);
 
-  /// After the current write buffer drains, close instead of reading on
-  /// (the QUIT path). Further inbound lines are ignored.
-  void request_close_after_flush() { close_after_flush_ = true; }
-
-  /// Attempts to drain the write buffer; true when nothing is pending.
-  bool flush();
+  /// Stops reading and closes once the owed replies are written — at
+  /// once when nothing is owed. The path for QUIT, peer EOF and the
+  /// shutdown drain; further inbound lines are ignored.
+  void request_close_after_flush();
 
   /// Immediately closes the socket; the object stays alive (in the
   /// daemon's graveyard) until the event-loop iteration ends.

@@ -10,11 +10,16 @@
 #include "util/check.h"
 
 namespace turtle::daemon {
+namespace {
+
+/// How long the graceful drain waits for owed replies before force-closing.
+constexpr std::uint64_t kDrainUs = 100'000;
+
+}  // namespace
 
 Daemon::Daemon(DaemonConfig config, std::shared_ptr<const serve::OracleSnapshot> snapshot)
     : config_{std::move(config)},
       registry_{config_.registry},
-      loop_{config_.loop},
       transport_{[&]() {
                    if (registry_ == nullptr) {
                      owned_registry_ = std::make_unique<obs::Registry>();
@@ -25,12 +30,7 @@ Daemon::Daemon(DaemonConfig config, std::shared_ptr<const serve::OracleSnapshot>
                    return server;
                  }(),
                  std::move(snapshot)},
-      idle_{loop_.wheel(),
-            [&]() {
-              IdleConfig idle = config_.idle;
-              idle.registry = registry_;
-              return idle;
-            }()} {
+      idle_{config_.max_idle_us, *registry_} {
   conn_accepted_ = &registry_->counter("daemon.conn.accepted");
   conn_closed_ = &registry_->counter("daemon.conn.closed");
   conn_rejected_ = &registry_->counter("daemon.conn.rejected_overload");
@@ -44,9 +44,6 @@ Daemon::Daemon(DaemonConfig config, std::shared_ptr<const serve::OracleSnapshot>
   udp_replies_ = &registry_->counter("daemon.udp.replies");
   conn_open_ = &registry_->gauge("daemon.conn.open");
   conn_high_water_ = &registry_->gauge("daemon.conn.high_water");
-  // The reaped_idle counter exists from startup even if nothing is ever
-  // reaped — ledger series show their zeros.
-  registry_->counter("daemon.conn.reaped_idle");
 
   tcp_listener_ = std::make_unique<TcpListener>(
       loop_, open_tcp_listener(config_.bind_addr, config_.tcp_port),
@@ -57,7 +54,7 @@ Daemon::Daemon(DaemonConfig config, std::shared_ptr<const serve::OracleSnapshot>
       loop_, udp.fd, [this](unsigned /*ready*/) { on_udp_ready(); });
   udp_event_->schedule(SocketEvent::kRead);
 
-  loop_.set_post_dispatch([this] { post_dispatch(); });
+  loop_.set_tick([this](std::uint64_t now_us) { return tick(now_us); });
   loop_.set_stop_hook([this] { begin_shutdown(); });
 
   if (!config_.port_file.empty()) {
@@ -91,10 +88,7 @@ void Daemon::on_accept(int fd) {
   conn_accepted_->inc();
   conn_open_->set(static_cast<std::int64_t>(connections_.size()));
   conn_high_water_->set_max(static_cast<std::int64_t>(connections_.size()));
-  idle_.add(id, loop_.now_us(), [this, id] {
-    // The governor counted the reap; this closes the socket.
-    close_connection(id, CloseReason::kReapedIdle);
-  });
+  idle_.add(id, loop_.now_us());
 }
 
 void Daemon::close_connection(std::uint64_t id, CloseReason reason) {
@@ -119,49 +113,45 @@ void Daemon::close_connection(std::uint64_t id, CloseReason reason) {
   conn_open_->set(static_cast<std::int64_t>(connections_.size()));
 }
 
-void Daemon::dispatch_line(Connection& conn, std::string_view line) {
+Daemon::Reply Daemon::handle_request(std::string_view line) {
   proto_requests_->inc();
   proto::ParseError error{};
   const auto parsed = proto::parse_request(line, error);
   if (!parsed.has_value()) {
     proto_rejected_->inc();
-    conn.push_response(proto::format_error(error));
-    return;
+    return {proto::format_error(error)};
   }
   switch (parsed->command) {
-    case proto::Command::kQuery: {
+    case proto::Command::kQuery:
       proto_queries_->inc();
-      conn.push_response(proto::format_query_response(transport_.answer(parsed->query)));
-      return;
-    }
+      return {proto::format_query_response(transport_.answer(parsed->query))};
     case proto::Command::kStats:
       proto_admin_->inc();
-      conn.push_response(stats_line());
-      return;
+      return {stats_line()};
     case proto::Command::kVersion:
       proto_admin_->inc();
-      conn.push_response(version_line());
-      return;
+      return {version_line()};
     case proto::Command::kSwap:
       proto_admin_->inc();
-      conn.push_response(do_swap(parsed->swap_path));
-      return;
+      return {do_swap(parsed->swap_path)};
     case proto::Command::kQuit:
       proto_admin_->inc();
-      conn.push_response("OK BYE");
-      conn.request_close_after_flush();
       loop_.defer([this] { begin_shutdown(); });
-      return;
+      return {"OK BYE", true};
   }
+  TURTLE_UNREACHABLE();
 }
 
-void Daemon::on_line_overflow(Connection& conn) {
+std::string Daemon::reject_overflow() {
   proto_requests_->inc();
   proto_rejected_->inc();
-  conn.push_response(proto::format_error(proto::ParseError::kLineTooLong));
+  return proto::format_error(proto::ParseError::kLineTooLong);
 }
 
 void Daemon::on_udp_ready() {
+  // Write readiness only wakes the loop, whose tick flushes the queued
+  // replies; once the drain has begun no new datagram is read.
+  if (shutting_down_) return;
   char buf[2048];
   while (true) {
     sockaddr_in peer{};
@@ -178,49 +168,27 @@ void Daemon::on_udp_ready() {
     if (const std::size_t nl = payload.find('\n'); nl != std::string_view::npos) {
       payload = payload.substr(0, nl);
     }
-    handle_udp_datagram(peer, payload);
+    udp_out_.push_back(UdpReply{peer, handle_request(payload).line});
   }
 }
 
-void Daemon::handle_udp_datagram(const sockaddr_in& peer, std::string_view payload) {
-  proto_requests_->inc();
-  proto::ParseError error{};
-  const auto parsed = proto::parse_request(payload, error);
-  if (!parsed.has_value()) {
-    proto_rejected_->inc();
-    udp_out_.push_back(UdpReply{peer, proto::format_error(error)});
-    return;
-  }
-  switch (parsed->command) {
-    case proto::Command::kQuery: {
-      proto_queries_->inc();
-      udp_out_.push_back(
-          UdpReply{peer, proto::format_query_response(transport_.answer(parsed->query))});
-      return;
-    }
-    case proto::Command::kStats:
-      proto_admin_->inc();
-      udp_out_.push_back(UdpReply{peer, stats_line()});
-      return;
-    case proto::Command::kVersion:
-      proto_admin_->inc();
-      udp_out_.push_back(UdpReply{peer, version_line()});
-      return;
-    case proto::Command::kSwap:
-      proto_admin_->inc();
-      udp_out_.push_back(UdpReply{peer, do_swap(parsed->swap_path)});
-      return;
-    case proto::Command::kQuit:
-      proto_admin_->inc();
-      udp_out_.push_back(UdpReply{peer, "OK BYE"});
-      loop_.defer([this] { begin_shutdown(); });
-      return;
-  }
-}
-
-void Daemon::post_dispatch() {
+std::optional<std::uint64_t> Daemon::tick(std::uint64_t now_us) {
+  idle_.expire(now_us, [this](std::uint64_t id) {
+    // The IdleList counted the reap; this closes the socket.
+    close_connection(id, CloseReason::kReapedIdle);
+  });
+  // Replies go out before the drain asks whether anything is still owed.
   flush_udp();
+  if (shutting_down_ && ((connections_.empty() && udp_out_.empty()) ||
+                         now_us >= drain_deadline_us_)) {
+    finish_shutdown();
+  }
   graveyard_.clear();
+  std::optional<std::uint64_t> deadline = idle_.next_deadline_us();
+  if (shutting_down_ && (!deadline.has_value() || drain_deadline_us_ < *deadline)) {
+    deadline = drain_deadline_us_;
+  }
+  return deadline;
 }
 
 void Daemon::flush_udp() {
@@ -231,11 +199,18 @@ void Daemon::flush_udp() {
     const ssize_t n =
         sendto(udp_event_->fd(), wire.data(), wire.size(), 0,
                reinterpret_cast<const sockaddr*>(&reply.peer), sizeof reply.peer);
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;  // retry next cycle
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;  // wait for space
     // Sent (or unsendable: the datagram contract is best-effort).
     if (n >= 0) udp_replies_->inc();
     udp_out_.pop_front();
   }
+  update_udp_interest();
+}
+
+void Daemon::update_udp_interest() {
+  unsigned interest = shutting_down_ ? 0 : SocketEvent::kRead;
+  if (!udp_out_.empty()) interest |= SocketEvent::kWrite;
+  udp_event_->schedule(interest);
 }
 
 std::string Daemon::stats_line() {
@@ -288,28 +263,20 @@ std::string Daemon::do_swap(const std::string& path) {
 void Daemon::begin_shutdown() {
   if (shutting_down_) return;
   shutting_down_ = true;
+  drain_deadline_us_ = loop_.now_us() + kDrainUs;
   tcp_listener_->close();
   // Stop reading new datagrams; the socket stays open for queued replies.
-  udp_event_->schedule(0);
-  shutdown_tick(0);
-}
-
-void Daemon::shutdown_tick(int attempt) {
-  bool pending = !udp_out_.empty();
-  // flush() may close a drained connection (the QUIT path), which mutates
-  // connections_ — walk a snapshot of ids instead of live iterators.
+  update_udp_interest();
+  // Every connection closes once its owed replies are written; the tick
+  // force-closes whatever is left at the drain deadline. Closing mutates
+  // connections_, so walk a snapshot of ids instead of live iterators.
   std::vector<std::uint64_t> ids;
   ids.reserve(connections_.size());
   for (const auto& [id, conn] : connections_) ids.push_back(id);
   for (const std::uint64_t id : ids) {
     const auto it = connections_.find(id);
-    if (it != connections_.end() && !it->second->flush()) pending = true;
+    if (it != connections_.end()) it->second->request_close_after_flush();
   }
-  if (pending && attempt < 50) {
-    loop_.schedule_after(2'000, [this, attempt] { shutdown_tick(attempt + 1); });
-    return;
-  }
-  finish_shutdown();
 }
 
 void Daemon::finish_shutdown() {

@@ -5,8 +5,10 @@
 // serves one-datagram-one-request traffic; both answer each parsed QUERY
 // inline through a NetTransport (a serve::Oracle over the mapped
 // snapshot), so every reply is produced in request order while its line
-// is dispatched. Connections silent for --max-idle-ms are reaped by an
-// IdleGovernor. Admin operations ride the same protocol: STATS snapshots
+// is dispatched. TCP lines and UDP datagrams share one request handler;
+// only where the reply goes differs. Connections silent for --max-idle-ms
+// are reaped from an activity-ordered IdleList, whose front is the loop's
+// next deadline. Admin operations ride the same protocol: STATS snapshots
 // the counters, SWAP hot-swaps a new snapshot file mid-traffic, QUIT (or
 // SIGINT/SIGTERM) runs the graceful drain — flush replies, dump metrics,
 // exit.
@@ -16,6 +18,7 @@
 #include <deque>
 #include <memory>
 #include <netinet/in.h>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -39,13 +42,13 @@ struct DaemonConfig {
   /// Accepts beyond this are refused with `ERR overloaded` and counted
   /// under daemon.conn.rejected_overload.
   std::size_t max_connections = 1024;
-  std::size_t read_chunk = 4096;
   /// Write-buffer cutoff per connection; a slower-than-its-answers client
   /// is dropped and counted (daemon.conn.dropped_backpressure).
   std::size_t max_write_buffer = 256 * 1024;
 
-  IdleConfig idle;
-  EventLoop::Config loop;
+  /// How long a connection may stay silent before it is reaped; bounds
+  /// how long a dead peer can hold an fd.
+  std::uint64_t max_idle_us = 60'000'000;
 
   obs::Registry* registry = nullptr;  ///< owned fallback when null
 
@@ -77,16 +80,23 @@ class Daemon {
 
   enum class CloseReason : std::uint8_t {
     kPeer,          ///< orderly close (peer EOF, QUIT flush, error)
-    kReapedIdle,    ///< idle deadline fired (already counted by the governor)
+    kReapedIdle,    ///< idle deadline passed (already counted by the IdleList)
     kBackpressure,  ///< write buffer exceeded max_write_buffer
     kShutdown,      ///< force-closed during the final drain
   };
 
-  /// One complete request line from `conn`: count, parse, dispatch.
-  void dispatch_line(Connection& conn, std::string_view line);
-  /// An oversized line: counted rejection + ERR, connection survives.
-  void on_line_overflow(Connection& conn);
-  /// Marks activity for the idle governor.
+  /// What one request produced: the reply line (no terminator) and
+  /// whether it was QUIT, after which a TCP connection closes once flushed.
+  struct Reply {
+    std::string line;
+    bool quit = false;
+  };
+
+  /// One request line or datagram, TCP or UDP alike: count, parse, answer.
+  [[nodiscard]] Reply handle_request(std::string_view line);
+  /// An oversized line: counted rejection; returns the ERR reply line.
+  [[nodiscard]] std::string reject_overflow();
+  /// Marks activity on the idle list.
   void touch_idle(std::uint64_t id) { idle_.touch(id, loop_.now_us()); }
   /// Closes and buries `id`'s connection (object freed after the current
   /// loop iteration).
@@ -97,16 +107,20 @@ class Daemon {
  private:
   void on_accept(int fd);
   void on_udp_ready();
-  void handle_udp_datagram(const sockaddr_in& peer, std::string_view payload);
-  void post_dispatch();
+  /// The loop tick: reap idle connections, send queued UDP replies,
+  /// advance the shutdown drain, free closed connections; returns the next
+  /// deadline (idle or drain).
+  std::optional<std::uint64_t> tick(std::uint64_t now_us);
   void flush_udp();
+  /// Read interest unless shutting down; write interest while UDP replies
+  /// wait for socket space.
+  void update_udp_interest();
 
   [[nodiscard]] std::string stats_line();
   [[nodiscard]] std::string version_line();
   [[nodiscard]] std::string do_swap(const std::string& path);
 
   void begin_shutdown();
-  void shutdown_tick(int attempt);
   void finish_shutdown();
   void dump_metrics();
 
@@ -116,7 +130,7 @@ class Daemon {
 
   EventLoop loop_;
   NetTransport transport_;
-  IdleGovernor idle_;
+  IdleList idle_;
 
   std::unique_ptr<TcpListener> tcp_listener_;
   std::unique_ptr<SocketEvent> udp_event_;
@@ -128,7 +142,7 @@ class Daemon {
   /// from inside a connection's own dispatch must not free its stack.
   std::vector<std::unique_ptr<Connection>> graveyard_;
 
-  /// UDP replies queued until the iteration's post-dispatch hook (sendto then).
+  /// UDP replies queued until the iteration's tick (sendto then).
   struct UdpReply {
     sockaddr_in peer{};
     std::string line;
@@ -136,6 +150,9 @@ class Daemon {
   std::deque<UdpReply> udp_out_;
 
   bool shutting_down_ = false;
+  /// Force-close time for connections still owed replies once the drain
+  /// has begun.
+  std::uint64_t drain_deadline_us_ = 0;
 
   obs::Counter* conn_accepted_;          ///< "daemon.conn.accepted"
   obs::Counter* conn_closed_;            ///< "daemon.conn.closed"

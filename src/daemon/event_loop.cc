@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <limits>
 #include <utility>
 
 #include "util/check.h"
@@ -31,10 +32,8 @@ unsigned from_epoll(unsigned events) {
 
 }  // namespace
 
-EventLoop::EventLoop() : EventLoop{Config{}} {}
-
-EventLoop::EventLoop(Config config) : config_{config}, wheel_{config.wheel} {
-  TURTLE_CHECK(config_.clock != nullptr);
+EventLoop::EventLoop(ClockFn clock) : clock_{clock} {
+  TURTLE_CHECK(clock_ != nullptr);
   epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
   TURTLE_CHECK_GE(epoll_fd_, 0) << "epoll_create1: errno=" << errno;
   TURTLE_CHECK_EQ(pipe2(wake_fds_, O_NONBLOCK | O_CLOEXEC), 0)
@@ -57,18 +56,12 @@ EventLoop::~EventLoop() {
 
 void EventLoop::run() {
   stopping_ = false;
+  // One tick before the first poll, so that poll honours the owner's deadline.
+  next_deadline_ = run_ready(now_us());
   while (!stopping_) poll_once();
 }
 
 void EventLoop::defer(std::function<void()> fn) { deferred_.push_back(std::move(fn)); }
-
-void EventLoop::inject(std::function<void()> fn) {
-  {
-    const util::MutexLock lock{inject_mu_};
-    injected_.push_back(std::move(fn));
-  }
-  wake();
-}
 
 void EventLoop::request_stop_from_signal() noexcept {
   signal_stop_ = 1;
@@ -78,57 +71,27 @@ void EventLoop::request_stop_from_signal() noexcept {
   [[maybe_unused]] const auto n = ::write(wake_fds_[1], &byte, 1);
 }
 
-void EventLoop::wake() {
-  const char byte = 0;
-  [[maybe_unused]] const auto n = ::write(wake_fds_[1], &byte, 1);
-}
-
-void EventLoop::drain_pending() {
-  std::vector<std::function<void()>> injected;
-  {
-    const util::MutexLock lock{inject_mu_};
-    injected.swap(injected_);
-  }
-  for (std::function<void()>& fn : injected) fn();
-  // Drain to empty: a deferred fn may defer again and runs this cycle.
-  while (!deferred_.empty()) {
-    std::function<void()> fn = std::move(deferred_.front());
-    deferred_.pop_front();
-    fn();
-  }
+int EventLoop::poll_timeout_ms() const {
+  if (!deferred_.empty()) return 0;
+  if (!next_deadline_.has_value()) return -1;
+  const std::uint64_t now = now_us();
+  const std::uint64_t wait_us = *next_deadline_ > now ? *next_deadline_ - now : 0;
+  // Round up: waking before the deadline would only spin one more poll.
+  return static_cast<int>(std::min<std::uint64_t>((wait_us + 999) / 1000,
+                                                  std::numeric_limits<int>::max()));
 }
 
 void EventLoop::poll_once() {
-  if (signal_stop_ != 0) {
-    signal_stop_ = 0;
-    if (stop_hook_) {
-      stop_hook_();
-    } else {
-      stopping_ = true;
-    }
-    if (stopping_) return;
-  }
-
-  int timeout_ms = static_cast<int>(config_.max_poll_us / 1000);
-  if (const auto deadline = wheel_.next_deadline_us(); deadline.has_value()) {
-    const std::uint64_t now = now_us();
-    const std::uint64_t wait_us = *deadline > now ? *deadline - now : 0;
-    timeout_ms = static_cast<int>(std::min<std::uint64_t>(wait_us / 1000 + 1,
-                                                          config_.max_poll_us / 1000));
-  }
-  if (!deferred_.empty()) timeout_ms = 0;
-
   epoll_event events[64];
-  const int n = epoll_wait(epoll_fd_, events, 64, timeout_ms);
+  int n = epoll_wait(epoll_fd_, events, 64, poll_timeout_ms());
   if (n < 0) {
     TURTLE_CHECK_EQ(errno, EINTR) << "epoll_wait: errno=" << errno;
-    return;
+    n = 0;  // a signal landed; its stop flag is handled below
   }
   for (int i = 0; i < n; ++i) {
     auto* event = static_cast<SocketEvent*>(events[i].data.ptr);
     if (event == nullptr) {
-      // Wake pipe: drain it; the payload (injected fns / stop flag) is
-      // handled below and at the top of the next iteration.
+      // Wake pipe: drain it; the stop flag it announces is handled below.
       char buf[64];
       while (::read(wake_fds_[0], buf, sizeof buf) > 0) {
       }
@@ -139,15 +102,26 @@ void EventLoop::poll_once() {
     const unsigned ready = from_epoll(events[i].events);
     if (ready != 0) event->handler_(ready);
   }
-  drain_pending();
-  wheel_.advance(now_us());
-  if (post_dispatch_) post_dispatch_();
+  if (signal_stop_ != 0) {
+    signal_stop_ = 0;
+    if (stop_hook_) {
+      stop_hook_();
+    } else {
+      stopping_ = true;
+    }
+  }
+  next_deadline_ = run_ready(now_us());
 }
 
-void EventLoop::run_ready(std::uint64_t now_us) {
-  drain_pending();
-  wheel_.advance(now_us);
-  if (post_dispatch_) post_dispatch_();
+std::optional<std::uint64_t> EventLoop::run_ready(std::uint64_t now_us) {
+  // Drain to empty: a deferred fn may defer again and runs this cycle.
+  while (!deferred_.empty()) {
+    std::function<void()> fn = std::move(deferred_.front());
+    deferred_.pop_front();
+    fn();
+  }
+  if (!tick_) return std::nullopt;
+  return tick_(now_us);
 }
 
 void EventLoop::register_event(SocketEvent& event) {

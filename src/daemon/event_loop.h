@@ -1,37 +1,38 @@
 // Single-threaded epoll event loop — the daemon's heartbeat.
 //
-// Modeled on MPD's event layer (SocketEvent / deferred / injected events):
-// one thread owns the loop; sockets register a SocketEvent with the fd and
-// a handler; the loop multiplexes readiness, drives the timer wheel, and
-// runs deferred work between poll cycles. Three ways in:
+// Modeled on MPD's event layer (SocketEvent / deferred events): one thread
+// owns the loop; sockets register a SocketEvent with the fd and a handler;
+// the loop multiplexes readiness and runs deferred work between poll
+// cycles. Two ways in:
 //
 //   * SocketEvent::schedule(kRead|kWrite) — fd readiness, epoll-driven.
 //   * defer(fn) — run before the next poll, FIFO. Loop-thread only; this
 //     is how handlers safely reshape the world ("close this connection
 //     after the current dispatch finishes").
-//   * inject(fn) — the one thread-safe entry point: enqueues under a
-//     mutex and wakes the loop through its self-pipe. Signal handlers use
-//     the narrower request_stop_from_signal(), which is async-signal-safe.
 //
-// Time: the loop never reads a clock directly. It calls an injected
-// ClockFn (production: daemon::wall_now_us, the D2-allowlisted site; tests:
-// a fake), and every timer deadline is an absolute microsecond value on
-// that clock. run_ready(now_us) exposes one synchronous iteration at a
-// fabricated instant, which is how daemon_test drives timer ordering and
-// deferred semantics with no sockets and no real time.
+// Signal handlers stop the loop through request_stop_from_signal(), which
+// is async-signal-safe: a flag plus one byte down the self-pipe.
+//
+// Time: the loop keeps no timers. Each iteration ends with the owner's
+// tick, which is handed the loop clock's `now_us` and returns the next
+// absolute deadline it cares about; the loop turns that into the epoll
+// timeout, and with no deadline it sleeps until an fd or the wake pipe is
+// ready. The loop never reads a clock directly: it calls an injected
+// ClockFn (production: daemon::wall_now_us, the D2-allowlisted site;
+// tests: a fake). run_ready(now_us) exposes one synchronous iteration at a
+// fabricated instant, which is how daemon_test drives deferred and tick
+// semantics with no sockets and no real time.
 #pragma once
 
 #include <csignal>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <unordered_set>
-#include <vector>
+#include <utility>
 
-#include "daemon/timer_wheel.h"
 #include "daemon/wall_clock.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace turtle::daemon {
 
@@ -39,19 +40,12 @@ class SocketEvent;
 
 class EventLoop {
  public:
-  struct Config {
-    TimerWheel::Config wheel;
-    /// Injectable time source; every now_us() and poll-timeout computation
-    /// goes through this.
-    ClockFn clock = &wall_now_us;
-    /// Poll timeout cap when no timer is armed.
-    std::uint64_t max_poll_us = 1'000'000;
-  };
+  /// Runs at the end of every iteration with the loop clock's time;
+  /// returns the next absolute deadline (loop clock), or nullopt for none.
+  using Tick = std::function<std::optional<std::uint64_t>(std::uint64_t now_us)>;
 
-  // Split constructors: GCC rejects `= {}` defaults of nested aggregates
-  // with member initializers inside the enclosing class.
-  EventLoop();
-  explicit EventLoop(Config config);
+  /// `clock` is the time source for every now_us() and poll timeout.
+  explicit EventLoop(ClockFn clock = &wall_now_us);
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -61,7 +55,7 @@ class EventLoop {
   void run();
 
   /// Makes run() return after the current iteration. Loop thread only
-  /// (from elsewhere, use inject or request_stop_from_signal).
+  /// (from a signal handler, use request_stop_from_signal).
   void stop() { stopping_ = true; }
 
   /// Runs `fn` before the next poll, after all fns deferred earlier this
@@ -69,12 +63,9 @@ class EventLoop {
   /// drain — the queue is drained to empty, not snapshotted.
   void defer(std::function<void()> fn);
 
-  /// Thread-safe defer: enqueues from any thread and wakes the loop.
-  void inject(std::function<void()> fn) TURTLE_EXCLUDES(inject_mu_);
-
   /// Async-signal-safe stop request: sets a flag and pokes the self-pipe.
-  /// The loop observes it at the top of the next iteration and invokes the
-  /// stop hook (set_stop_hook) instead of dying mid-write.
+  /// The loop observes it after the iteration's socket dispatch and
+  /// invokes the stop hook (set_stop_hook) instead of dying mid-write.
   void request_stop_from_signal() noexcept;
 
   /// Runs once when a request_stop_from_signal() is observed; the daemon
@@ -82,27 +73,16 @@ class EventLoop {
   /// just stops.
   void set_stop_hook(std::function<void()> hook) { stop_hook_ = std::move(hook); }
 
-  /// Runs after each iteration's socket dispatch and deferred drain — the
-  /// daemon sends the iteration's queued UDP replies and frees closed
-  /// connections here.
-  void set_post_dispatch(std::function<void()> hook) { post_dispatch_ = std::move(hook); }
+  /// Installs the tick: it runs after each iteration's socket dispatch and
+  /// deferred drain, and its return value bounds the next poll.
+  void set_tick(Tick tick) { tick_ = std::move(tick); }
 
-  /// Arms a timer on the wheel at absolute `deadline_us` (loop clock).
-  TimerWheel::TimerId schedule_at(std::uint64_t deadline_us, std::function<void()> fn) {
-    return wheel_.schedule(deadline_us, std::move(fn));
-  }
-  TimerWheel::TimerId schedule_after(std::uint64_t delay_us, std::function<void()> fn) {
-    return wheel_.schedule(now_us() + delay_us, std::move(fn));
-  }
-  bool cancel_timer(TimerWheel::TimerId id) { return wheel_.cancel(id); }
-
-  [[nodiscard]] std::uint64_t now_us() const { return config_.clock(); }
-  [[nodiscard]] TimerWheel& wheel() { return wheel_; }
+  [[nodiscard]] std::uint64_t now_us() const { return clock_(); }
 
   /// Test seam: one synchronous iteration at fabricated time `now_us` —
-  /// injected work, then the deferred drain, then due timers, then the
-  /// post-dispatch hook. No polling, no fds required.
-  void run_ready(std::uint64_t now_us);
+  /// the deferred drain, then the tick. No polling, no fds required.
+  /// Returns the tick's deadline.
+  std::optional<std::uint64_t> run_ready(std::uint64_t now_us);
 
  private:
   friend class SocketEvent;
@@ -112,18 +92,19 @@ class EventLoop {
   void unregister_event(SocketEvent& event);
 
   void poll_once();
-  /// Drains injected (under the lock) then deferred (loop-local) work.
-  void drain_pending() TURTLE_EXCLUDES(inject_mu_);
-  void wake();
+  /// Milliseconds until next_deadline_ (rounded up), 0 when deferred work
+  /// is pending, -1 (block) with no deadline.
+  [[nodiscard]] int poll_timeout_ms() const;
 
-  Config config_;
-  TimerWheel wheel_;
+  ClockFn clock_;
   int epoll_fd_ = -1;
-  /// Self-pipe: [0] registered with epoll, [1] written by inject/signal.
+  /// Self-pipe: [0] registered with epoll, [1] written by the signal path.
   int wake_fds_[2] = {-1, -1};
   bool stopping_ = false;
   std::function<void()> stop_hook_;
-  std::function<void()> post_dispatch_;
+  Tick tick_;
+  /// What the last tick returned; bounds the next epoll_wait.
+  std::optional<std::uint64_t> next_deadline_;
 
   /// Registered events; dispatch consults this so a handler destroying a
   /// sibling SocketEvent mid-iteration cannot leave a dangling dispatch.
@@ -131,8 +112,6 @@ class EventLoop {
 
   std::deque<std::function<void()>> deferred_;
 
-  util::Mutex inject_mu_;
-  std::vector<std::function<void()>> injected_ TURTLE_GUARDED_BY(inject_mu_);
   /// Set by request_stop_from_signal (possibly from a signal handler).
   volatile sig_atomic_t signal_stop_ = 0;
 };

@@ -2,9 +2,13 @@
 // is reaped.
 //
 // The deadline is a constant (turtled --max-idle-ms, default 60 s — the
-// paper's "keep listening" window). Each activity mark re-arms it; a stall
-// that outlasts it counts daemon.conn.reaped_idle and calls the session's
-// reap callback.
+// paper's "keep listening" window), so every session's deadline is
+// last_active + max_idle_us and deadlines fall due in activity order: the
+// session due next is always the least recently active one. The list
+// keeps sessions in that order — touch() splices a session to the back —
+// so its front alone answers both "when is the next reap" and "who is
+// due". A stall that outlasts the window counts daemon.conn.reaped_idle
+// and hands the session to expire()'s reap callback.
 //
 // Sessions are plain ids here, not sockets, and time is caller-supplied
 // microseconds — so the unit test drives a stalled client and an active
@@ -13,55 +17,53 @@
 
 #include <cstdint>
 #include <functional>
+#include <list>
+#include <optional>
 #include <unordered_map>
 
-#include "daemon/timer_wheel.h"
 #include "obs/metrics.h"
 
 namespace turtle::daemon {
 
-struct IdleConfig {
-  /// How long a session may stay silent before it is reaped; bounds how
-  /// long a dead peer can hold an fd.
-  std::uint64_t max_idle_us = 60'000'000;
-  obs::Registry* registry = nullptr;
-};
-
-/// Tracks per-session activity and arms one wheel timer per session; the
-/// wheel owner advances the clock. Reaping calls the session's `on_reap`.
-class IdleGovernor {
+class IdleList {
  public:
-  IdleGovernor(TimerWheel& wheel, IdleConfig config);
+  /// Counts reaps under "daemon.conn.reaped_idle" in `registry`.
+  IdleList(std::uint64_t max_idle_us, obs::Registry& registry);
 
-  IdleGovernor(const IdleGovernor&) = delete;
-  IdleGovernor& operator=(const IdleGovernor&) = delete;
+  IdleList(const IdleList&) = delete;
+  IdleList& operator=(const IdleList&) = delete;
 
-  /// Starts tracking `session`; the deadline arms from `now_us`.
-  void add(std::uint64_t session, std::uint64_t now_us, std::function<void()> on_reap);
+  /// Starts tracking `session` as active at `now_us` (the back of the list).
+  void add(std::uint64_t session, std::uint64_t now_us);
 
-  /// Records activity: re-arms the session's deadline from `now_us`.
+  /// Records activity: moves the session to the back. O(1), no allocation.
   void touch(std::uint64_t session, std::uint64_t now_us);
 
-  /// Stops tracking (connection closed normally).
+  /// Stops tracking (connection closed normally); unknown ids are ignored.
   void remove(std::uint64_t session);
 
-  [[nodiscard]] std::size_t tracked() const { return sessions_.size(); }
+  /// The least recently active session's deadline; nullopt when empty.
+  [[nodiscard]] std::optional<std::uint64_t> next_deadline_us() const;
+
+  /// Untracks, counts and reaps every session whose deadline is <= now_us,
+  /// least recently active first.
+  void expire(std::uint64_t now_us, const std::function<void(std::uint64_t session)>& on_reap);
+
+  [[nodiscard]] std::size_t tracked() const { return index_.size(); }
   [[nodiscard]] std::uint64_t reaped() const { return reaped_->value(); }
 
  private:
-  struct Session {
-    TimerWheel::TimerId timer = 0;
-    std::function<void()> on_reap;
+  void check_monotonic(std::uint64_t now_us) const;
+
+  struct Entry {
+    std::uint64_t session = 0;
+    std::uint64_t last_active_us = 0;
   };
 
-  void arm(std::uint64_t session, Session& state, std::uint64_t now_us);
-  void reap(std::uint64_t session);
-
-  TimerWheel& wheel_;
-  IdleConfig config_;
-  std::unordered_map<std::uint64_t, Session> sessions_;
-
-  obs::Counter fallback_reaped_;
+  std::uint64_t max_idle_us_;
+  /// Front = least recently active.
+  std::list<Entry> order_;
+  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
   obs::Counter* reaped_;  ///< "daemon.conn.reaped_idle"
 };
 

@@ -1,10 +1,11 @@
-// turtle::daemon — timer wheel ordering and cancellation, event-loop
-// deferred/timer semantics under fake time, and the idle reaper.
+// turtle::daemon — event-loop deferred/tick semantics under fake time,
+// and the activity-ordered idle list.
 //
-// Everything here runs on fabricated clocks: the wheel takes absolute
+// Everything here runs on fabricated clocks: the idle list takes absolute
 // microseconds from the caller, and the event loop's ClockFn is swapped
 // for a controllable static. No sockets, no wall time, no sleeps.
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,7 +13,6 @@
 
 #include "daemon/event_loop.h"
 #include "daemon/idle.h"
-#include "daemon/timer_wheel.h"
 #include "obs/metrics.h"
 
 namespace turtle::daemon {
@@ -21,85 +21,9 @@ namespace {
 std::uint64_t g_fake_now_us = 0;
 std::uint64_t fake_clock() { return g_fake_now_us; }
 
-TEST(TimerWheel, FiresInDeadlineThenInsertionOrder) {
-  TimerWheel wheel;
-  std::vector<int> fired;
-  // Same deadline: insertion order breaks the tie. Earlier deadline fires
-  // first even when scheduled later.
-  wheel.schedule(2'000, [&] { fired.push_back(1); });
-  wheel.schedule(2'000, [&] { fired.push_back(2); });
-  wheel.schedule(1'000, [&] { fired.push_back(0); });
-  EXPECT_EQ(wheel.size(), 3u);
-  ASSERT_TRUE(wheel.next_deadline_us().has_value());
-  EXPECT_EQ(*wheel.next_deadline_us(), 1'000u);
-
-  EXPECT_EQ(wheel.advance(500), 0u);
-  EXPECT_EQ(wheel.advance(2'500), 3u);
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(wheel.size(), 0u);
-  EXPECT_FALSE(wheel.next_deadline_us().has_value());
-}
-
-TEST(TimerWheel, DeadlinesHonoredExactlyNotByTick) {
-  // Deadlines 1us apart land in the same hash slot; advance must still
-  // separate them by microsecond, not by slot granularity.
-  TimerWheel wheel{TimerWheel::Config{.tick_us = 10'000, .slots = 4}};
-  std::vector<int> fired;
-  wheel.schedule(101, [&] { fired.push_back(1); });
-  wheel.schedule(100, [&] { fired.push_back(0); });
-  EXPECT_EQ(wheel.advance(100), 1u);
-  EXPECT_EQ(fired, (std::vector<int>{0}));
-  EXPECT_EQ(wheel.advance(101), 1u);
-  EXPECT_EQ(fired, (std::vector<int>{0, 1}));
-}
-
-TEST(TimerWheel, CancelPreventsFiringAndReportsLiveness) {
-  TimerWheel wheel;
-  int fired = 0;
-  const auto id = wheel.schedule(1'000, [&] { ++fired; });
-  EXPECT_TRUE(wheel.cancel(id));
-  EXPECT_FALSE(wheel.cancel(id));  // already cancelled
-  EXPECT_EQ(wheel.size(), 0u);
-  EXPECT_EQ(wheel.advance(10'000), 0u);
-  EXPECT_EQ(fired, 0);
-  EXPECT_FALSE(wheel.cancel(9999));  // never existed
-}
-
-TEST(TimerWheel, CallbackCanCancelSiblingDueInSameBatch) {
-  TimerWheel wheel;
-  int sibling_fired = 0;
-  TimerWheel::TimerId sibling = 0;
-  // Timer A (earlier deadline) cancels timer B, due in the same advance.
-  wheel.schedule(1'000, [&] { EXPECT_TRUE(wheel.cancel(sibling)); });
-  sibling = wheel.schedule(2'000, [&] { ++sibling_fired; });
-  EXPECT_EQ(wheel.advance(5'000), 1u);
-  EXPECT_EQ(sibling_fired, 0);
-  EXPECT_EQ(wheel.size(), 0u);
-}
-
-TEST(TimerWheel, CallbackRescheduleRunsNextAdvanceNotRecursively) {
-  TimerWheel wheel;
-  int fired = 0;
-  wheel.schedule(1'000, [&] {
-    ++fired;
-    // Already-due deadline: must wait for the *next* advance.
-    wheel.schedule(500, [&] { ++fired; });
-  });
-  EXPECT_EQ(wheel.advance(1'000), 1u);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(wheel.advance(1'000), 1u);
-  EXPECT_EQ(fired, 2);
-}
-
-EventLoop::Config fake_time_config() {
-  EventLoop::Config config;
-  config.clock = &fake_clock;
-  return config;
-}
-
 TEST(EventLoop, DeferredRunFifoAndDrainToEmpty) {
   g_fake_now_us = 0;
-  EventLoop loop{fake_time_config()};
+  EventLoop loop{&fake_clock};
   std::vector<std::string> order;
   loop.defer([&] {
     order.push_back("a");
@@ -116,95 +40,153 @@ TEST(EventLoop, DeferredRunFifoAndDrainToEmpty) {
   EXPECT_TRUE(order.empty());
 }
 
-TEST(EventLoop, TimersFireInOrderAtFakeInstants) {
-  g_fake_now_us = 100;
-  EventLoop loop{fake_time_config()};
-  std::vector<int> fired;
-  loop.schedule_after(50, [&] { fired.push_back(1); });   // due at 150
-  loop.schedule_at(120, [&] { fired.push_back(0); });
-  const auto late = loop.schedule_at(200, [&] { fired.push_back(9); });
-
-  loop.run_ready(119);
-  EXPECT_TRUE(fired.empty());
-  loop.run_ready(150);
-  EXPECT_EQ(fired, (std::vector<int>{0, 1}));
-  EXPECT_TRUE(loop.cancel_timer(late));
-  loop.run_ready(1'000);
-  EXPECT_EQ(fired, (std::vector<int>{0, 1}));
-}
-
+// The tick is the loop's one timer and post-dispatch hook: deferred work
+// runs before it, it sees the iteration's now_us, and what it returns is
+// the loop's next deadline.
 TEST(EventLoop, DeferredRunBeforeTimersThenPostDispatch) {
   g_fake_now_us = 0;
-  EventLoop loop{fake_time_config()};
+  EventLoop loop{&fake_clock};
   std::vector<std::string> order;
-  loop.set_post_dispatch([&] { order.push_back("pump"); });
-  loop.schedule_at(10, [&] { order.push_back("timer"); });
+  std::uint64_t seen_us = 0;
+  loop.set_tick([&](std::uint64_t now_us) -> std::optional<std::uint64_t> {
+    order.push_back("tick");
+    seen_us = now_us;
+    return now_us + 25;
+  });
   loop.defer([&] { order.push_back("deferred"); });
-  loop.run_ready(10);
-  EXPECT_EQ(order, (std::vector<std::string>{"deferred", "timer", "pump"}));
+  EXPECT_EQ(loop.run_ready(10), std::optional<std::uint64_t>{35});
+  EXPECT_EQ(order, (std::vector<std::string>{"deferred", "tick"}));
+  EXPECT_EQ(seen_us, 10u);
 }
 
-TEST(IdleGovernor, StalledSessionReapedActiveOneSurvives) {
-  TimerWheel wheel;
+// A deadline the tick reports as due wakes the real poll with no fd
+// ready: epoll_wait times out at once and the next tick runs.
+TEST(EventLoop, DueDeadlineWakesPollWithNoFdReady) {
+  g_fake_now_us = 500;
+  EventLoop loop{&fake_clock};
+  int ticks = 0;
+  loop.set_tick([&](std::uint64_t now_us) -> std::optional<std::uint64_t> {
+    EXPECT_EQ(now_us, 500u);
+    if (++ticks == 3) loop.stop();
+    return now_us;  // due now
+  });
+  loop.run();
+  EXPECT_EQ(ticks, 3);
+}
+
+// With no deadline the poll blocks until an fd or the wake pipe is ready;
+// a stop request writes the pipe, so it ends the wait.
+TEST(EventLoop, SignalStopWakesPollWithNoDeadline) {
+  g_fake_now_us = 0;
+  EventLoop loop{&fake_clock};
+  int ticks = 0;
+  loop.set_tick([&](std::uint64_t) -> std::optional<std::uint64_t> {
+    ++ticks;
+    return std::nullopt;
+  });
+  loop.request_stop_from_signal();
+  loop.run();  // no stop hook: the request stops the loop
+  EXPECT_EQ(ticks, 2);  // one tick before the first poll, one after it
+
+  bool hooked = false;
+  loop.set_stop_hook([&] {
+    hooked = true;
+    loop.stop();
+  });
+  loop.request_stop_from_signal();
+  loop.run();
+  EXPECT_TRUE(hooked);
+  EXPECT_EQ(ticks, 4);
+}
+
+TEST(IdleList, StalledSessionReapedActiveOneSurvives) {
   obs::Registry registry;
-  IdleConfig config;
-  config.registry = &registry;
-  config.max_idle_us = 60'000'000;
-  IdleGovernor governor{wheel, config};
+  const std::uint64_t max_idle_us = 60'000'000;
+  IdleList idle{max_idle_us, registry};
 
   std::vector<std::uint64_t> reaped;
+  const auto reap = [&](std::uint64_t session) { reaped.push_back(session); };
   std::uint64_t now = 0;
-  governor.add(1, now, [&] { reaped.push_back(1); });
-  governor.add(2, now, [&] { reaped.push_back(2); });
-  EXPECT_EQ(governor.tracked(), 2u);
+  idle.add(1, now);
+  idle.add(2, now);
+  EXPECT_EQ(idle.tracked(), 2u);
 
   // Session 1 chats every 200ms; session 2 stalls after t=0. Fast
   // traffic does not shorten anyone's deadline.
   for (int i = 0; i < 20; ++i) {
     now += 200'000;
-    governor.touch(1, now);
-    wheel.advance(now);
+    idle.touch(1, now);
+    idle.expire(now, reap);
   }
   EXPECT_TRUE(reaped.empty()) << "active traffic must not reap anyone";
 
   // Let the stalled session's deadline lapse; session 1 keeps talking.
-  const std::uint64_t horizon = now + config.max_idle_us + 1;
+  const std::uint64_t horizon = now + max_idle_us + 1;
   while (now < horizon) {
     now += 200'000;
-    governor.touch(1, now);
-    wheel.advance(now);
+    idle.touch(1, now);
+    idle.expire(now, reap);
   }
   EXPECT_EQ(reaped, (std::vector<std::uint64_t>{2}));
-  EXPECT_EQ(governor.reaped(), 1u);
+  EXPECT_EQ(idle.reaped(), 1u);
   EXPECT_EQ(registry.counter("daemon.conn.reaped_idle").value(), 1u);
-  EXPECT_EQ(governor.tracked(), 1u);  // reap untracked session 2
+  EXPECT_EQ(idle.tracked(), 1u);  // reap untracked session 2
 
   // Normal close stops tracking without counting a reap.
-  governor.remove(1);
-  EXPECT_EQ(governor.tracked(), 0u);
-  wheel.advance(now + 2 * config.max_idle_us);
-  EXPECT_EQ(governor.reaped(), 1u);
+  idle.remove(1);
+  EXPECT_EQ(idle.tracked(), 0u);
+  idle.expire(now + 2 * max_idle_us, reap);
+  EXPECT_EQ(idle.reaped(), 1u);
 }
 
-TEST(IdleGovernor, DeadlineIsMaxIdleEvenAboveSixtySeconds) {
-  TimerWheel wheel;
-  IdleConfig config;
-  config.max_idle_us = 120'000'000;
-  IdleGovernor governor{wheel, config};
+TEST(IdleList, DeadlineIsMaxIdleEvenAboveSixtySeconds) {
+  obs::Registry registry;
+  const std::uint64_t max_idle_us = 120'000'000;
+  IdleList idle{max_idle_us, registry};
 
   bool reaped = false;
-  governor.add(7, 0, [&] { reaped = true; });
+  const auto reap = [&](std::uint64_t) { reaped = true; };
+  idle.add(7, 0);
   // A stalled session outlives the paper's 60 s listen window when the
   // operator asked for longer...
-  wheel.advance(61'000'000);
+  idle.expire(61'000'000, reap);
   EXPECT_FALSE(reaped);
-  wheel.advance(config.max_idle_us - 1);
+  idle.expire(max_idle_us - 1, reap);
   EXPECT_FALSE(reaped);
   // ...and is reaped exactly at the configured deadline.
-  wheel.advance(config.max_idle_us);
+  idle.expire(max_idle_us, reap);
   EXPECT_TRUE(reaped);
-  EXPECT_EQ(governor.reaped(), 1u);
-  EXPECT_EQ(governor.tracked(), 0u);
+  EXPECT_EQ(idle.reaped(), 1u);
+  EXPECT_EQ(idle.tracked(), 0u);
+}
+
+// touch() moves a session to the back, so the next deadline always
+// belongs to the least recently active session, and expiry reaps in
+// activity order.
+TEST(IdleList, TouchReordersSoNextDeadlineFollowsLeastRecentlyActive) {
+  obs::Registry registry;
+  const std::uint64_t max_idle_us = 1'000;
+  IdleList idle{max_idle_us, registry};
+  EXPECT_EQ(idle.next_deadline_us(), std::nullopt);
+
+  idle.add(1, 0);
+  idle.add(2, 10);
+  idle.add(3, 20);
+  EXPECT_EQ(idle.next_deadline_us(), std::optional<std::uint64_t>{0 + max_idle_us});
+  idle.touch(1, 30);  // order now 2, 3, 1
+  EXPECT_EQ(idle.next_deadline_us(), std::optional<std::uint64_t>{10 + max_idle_us});
+  idle.touch(2, 40);  // order now 3, 1, 2
+  EXPECT_EQ(idle.next_deadline_us(), std::optional<std::uint64_t>{20 + max_idle_us});
+  idle.touch(99, 50);  // unknown ids are ignored
+  EXPECT_EQ(idle.tracked(), 3u);
+
+  std::vector<std::uint64_t> reaped;
+  idle.expire(30 + max_idle_us, [&](std::uint64_t session) { reaped.push_back(session); });
+  EXPECT_EQ(reaped, (std::vector<std::uint64_t>{3, 1}));
+  EXPECT_EQ(idle.next_deadline_us(), std::optional<std::uint64_t>{40 + max_idle_us});
+  idle.remove(2);
+  EXPECT_EQ(idle.next_deadline_us(), std::nullopt);
+  EXPECT_EQ(idle.reaped(), 2u);
 }
 
 }  // namespace

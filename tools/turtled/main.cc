@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("max-connections", 1024));
   config.port_file = flags.get_string("port-file", "");
   config.metrics_out = flags.get_string("metrics-out", "");
-  config.idle.max_idle_us =
+  config.max_idle_us =
       static_cast<std::uint64_t>(flags.get_int("max-idle-ms", 60'000)) * 1000;
 
   std::shared_ptr<const serve::OracleSnapshot> snapshot;
