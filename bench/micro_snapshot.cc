@@ -16,9 +16,10 @@
 // gauges into --metrics-out, and a deterministic lookup sweep over the
 // mapped file fills snapshot.lookups / snapshot.lookup_timeout — the dump
 // is byte-identical across --jobs (the file itself is too; CI cmp's it).
-// The sweep also cross-checks the mapped file against an
-// OracleSnapshot::build of the same log: any field mismatch is a parity
-// failure and the bench exits non-zero.
+// The sweep also cross-checks the mapped, sharded build against an
+// OracleSnapshot::build of the same log (the same fold run in memory as
+// one shard): any field mismatch is a parity failure and the bench exits
+// non-zero.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -176,7 +177,8 @@ int main(int argc, char** argv) {
   report.set_metric("cold_load_to_first_query_us", cold_us);
 
   // Phase 4: the baseline this replaces — reload the record log and
-  // rebuild the snapshot in memory (what crash recovery cost before).
+  // rebuild the snapshot in memory, the builder's fold run as a single
+  // shard with no spill files (what crash recovery cost before).
   double rebuild_us = 0;
   std::unique_ptr<serve::OracleSnapshot> rebuilt;
   {
@@ -194,8 +196,10 @@ int main(int argc, char** argv) {
               cold_us > 0 ? rebuild_us / cold_us : 0.0);
 
   // Phase 5: deterministic serve sweep, double-booked as the parity gate.
-  // Mapped and in-memory answers must agree on every field; the sweep also
-  // fills the snapshot.* lookup metrics that --metrics-out ships (and that
+  // Both sides read a snapshot-v1 image from the same fold, so answers
+  // must agree on every field: a mismatch means the shard cut or the
+  // file round trip changed the bytes. The sweep also fills the
+  // snapshot.* lookup metrics that --metrics-out ships (and that
   // validate_obs.py --snapshot cross-checks against the file header).
   obs::Registry& registry = report.registry();
   obs::Counter& lookups = registry.counter("snapshot.lookups");

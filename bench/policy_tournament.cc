@@ -7,12 +7,12 @@
 // under the scenario's fault plan, and the faulted record log becomes the
 // ground-truth observation stream (matched responses, re-attributed
 // delayed responses, losses — see serve::observations_from_log); (3) a
-// serving simulator hosts an OracleServer wired to a PolicyEngine, one
-// request per observation cycling through the policies (static baseline
-// included), each completion feeding the engine one observation to score
-// every policy against and then learn from. Decide-before-learn ordering
-// means each policy is judged on what it would have prescribed *before*
-// seeing the outcome.
+// serve::Oracle wired to a PolicyEngine answers one request per
+// observation, cycling through the policies (static baseline included),
+// and after each answer the engine scores every policy against that
+// observation and then learns from it. Decide-before-learn ordering means
+// each policy is judged on what it would have prescribed *before* seeing
+// the outcome.
 //
 // Scenarios: clean, faults_loss_burst, faults_delay_spike,
 // faults_block_outage, and the combined faults_policy_mix adversarial
@@ -30,10 +30,9 @@
 #include "core/timeout_policy.h"
 #include "harness.h"
 #include "report.h"
-#include "serve/oracle_server.h"
+#include "serve/oracle.h"
 #include "serve/oracle_snapshot.h"
 #include "serve/policy_engine.h"
-#include "util/check.h"
 #include "util/table.h"
 
 using namespace turtle;
@@ -61,12 +60,10 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const auto fault_seed = static_cast<std::uint64_t>(flags.get_int("fault-seed", 1));
   const std::string plans_dir = flags.get_string("plans-dir", "examples");
-  const auto spacing = SimTime::micros(flags.get_int("spacing-us", 1000));
   const auto max_tracked =
       static_cast<std::size_t>(flags.get_int("max-tracked", 4096));
   const double addr_coverage = flags.get_double("addr-coverage", 95.0);
   const double ping_coverage = flags.get_double("ping-coverage", 95.0);
-  TURTLE_CHECK_GT(spacing.as_micros(), 0) << "--spacing-us must be positive";
 
   std::vector<Scenario> scenarios;
   scenarios.push_back({"clean", "", nullptr});
@@ -133,11 +130,9 @@ int main(int argc, char** argv) {
             observations = serve::observations_from_log(clean_prober.log());
           }
 
-          // Phase 3: the serving simulator. One request per observation,
-          // cycling the policy roster; each completion hands the engine
-          // the observation to score every policy against.
-          sim::Simulator serve_sim{ctx.registry, ctx.trace};
-
+          // Phase 3: one answer per observation, cycling the policy
+          // roster, then the engine scores every policy against that
+          // observation and learns from it.
           serve::PolicyEngineConfig engine_config;
           engine_config.max_tracked_blocks = max_tracked;
           engine_config.metric_prefix = "policy." + scenario.name;
@@ -148,12 +143,7 @@ int main(int argc, char** argv) {
           engine.register_policy(std::make_unique<core::JacobsonKarnPolicy>());
           engine.register_policy(std::make_unique<core::EwmaVariancePolicy>());
           engine.register_policy(std::make_unique<core::CusumQuantilePolicy>());
-
-          serve::ServerConfig server_config;
-          server_config.registry = ctx.registry;
-          server_config.trace = ctx.trace;
-          server_config.policy_engine = &engine;
-          serve::OracleServer server{serve_sim, server_config, snapshot};
+          serve::Oracle oracle{ctx.registry, snapshot, &engine};
 
           for (std::size_t i = 0; i < observations.size(); ++i) {
             serve::Request request;
@@ -161,19 +151,10 @@ int main(int argc, char** argv) {
             request.addr_coverage = addr_coverage;
             request.ping_coverage = ping_coverage;
             request.policy_id = static_cast<std::uint32_t>(i % kPolicyCount);
-            serve_sim.schedule_at(
-                spacing * static_cast<std::int64_t>(i),
-                [&server, &engine, request, observation = observations[i]] {
-                  server.submit(request,
-                                [&engine, observation](const serve::LookupResult&,
-                                                       SimTime) {
-                                  engine.observe(observation);
-                                });
-                });
+            // The answer is the policy's decision; observe() scores it.
+            static_cast<void>(oracle.answer(request));
+            engine.observe(observations[i]);
           }
-          serve_sim.run();
-          server.finalize();
-          result.events += serve_sim.events_processed();
         }
         return result;
       });

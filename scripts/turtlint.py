@@ -5,7 +5,7 @@ Thin wrapper so the documented invocation (`scripts/turtlint.py`) works;
 the implementation lives in tools/turtlint/turtlint.py. Usage:
 
     scripts/turtlint.py                     # whole repo, all rules
-    scripts/turtlint.py --rules D2,D5       # the lint.sh-delegated subset
+    scripts/turtlint.py --rules H1,H2       # the header conventions only
     scripts/turtlint.py -p build src/serve  # compile_commands-driven, scoped
     scripts/turtlint.py --list-rules
 """

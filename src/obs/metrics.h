@@ -15,8 +15,8 @@
 //     is exact element-wise addition — associative and reproducible.
 //   * Wall-clock measurements (thread-pool task latency and friends) are
 //     named "wall.*" and excluded from the deterministic JSON dump; they
-//     must never enter byte-compared output. scripts/lint.sh additionally
-//     bans wall-clock reads inside src/obs itself.
+//     must never enter byte-compared output. turtlint rule D2
+//     additionally bans wall-clock reads inside src/obs itself.
 //   * Metric handles are stable references into the registry (map nodes
 //     never move), so hot paths increment through a pointer with no name
 //     lookup. Components fall back to a private local metric when built

@@ -2,21 +2,37 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <sstream>
+#include <type_traits>
 #include <utility>
 
-#include "analysis/pipeline.h"
 #include "core/recommendations.h"
+#include "serve/snapshot_builder.h"
 #include "util/check.h"
-#include "util/ordered.h"
 
 namespace turtle::serve {
+
+// A copied heap image would leave the copy's view pointing into the source;
+// a move keeps the bytes (and so the view) where they are.
+static_assert(!std::is_copy_constructible_v<OracleSnapshot> &&
+              !std::is_copy_assignable_v<OracleSnapshot>);
+static_assert(std::is_nothrow_move_constructible_v<OracleSnapshot>);
 
 namespace {
 
 /// Saturating sample-confidence factor: 0 at n = 0, -> 1 as n grows.
 double sample_factor(std::uint64_t n) {
   return static_cast<double>(n) / (static_cast<double>(n) + 16.0);
+}
+
+/// Position of `key` in a sorted key section, if present.
+bool position_of(std::span<const std::uint32_t> keys, std::uint32_t key, std::size_t& index) {
+  const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+  if (it == keys.end() || *it != key) return false;
+  index = static_cast<std::size_t>(it - keys.begin());
+  return true;
 }
 
 }  // namespace
@@ -33,174 +49,85 @@ const char* lookup_scope_name(LookupScope scope) {
   TURTLE_UNREACHABLE();
 }
 
-OracleSnapshot OracleSnapshot::build(analysis::SurveyDataset& dataset, SnapshotConfig config,
+OracleSnapshot OracleSnapshot::build(const probe::RecordLog& log, SnapshotConfig config,
                                      const hosts::GeoDatabase* geo) {
-  TURTLE_CHECK(!config.percentiles.empty()) << "snapshot needs at least one percentile";
-  OracleSnapshot snapshot{std::move(config)};
-
-  // Run the paper's filtering pipeline first so broadcast and duplicate
-  // responders never poison a tier's quantiles. No registry: the serving
-  // layer publishes serve.* metrics, not a second copy of pipeline.*.
-  analysis::PipelineConfig pipeline_config;
-  const analysis::PipelineResult result = analysis::run_pipeline(dataset, pipeline_config);
-
-  // Canonical fold order: reports stable-sorted by /24 network. P2 marker
-  // states depend on fold order, so the order is part of the format's
-  // determinism contract — the streaming builder partitions the address
-  // space into contiguous network ranges, folds each shard in this same
-  // order, and concatenates, reproducing these exact marker states. Within
-  // a network (and per address) the original dataset order is preserved on
-  // both paths, which is what "stable" buys.
-  std::vector<const analysis::AddressReport*> canonical;
-  canonical.reserve(result.addresses.size());
-  for (const analysis::AddressReport& report : result.addresses) canonical.push_back(&report);
-  std::stable_sort(canonical.begin(), canonical.end(),
-                   [](const analysis::AddressReport* a, const analysis::AddressReport* b) {
-                     return net::Prefix24::containing(a->address).network() <
-                            net::Prefix24::containing(b->address).network();
-                   });
-
-  for (const analysis::AddressReport* report_ptr : canonical) {
-    const analysis::AddressReport& report = *report_ptr;
-    const std::uint32_t network = net::Prefix24::containing(report.address).network();
-    auto [block_it, inserted] = snapshot.block_index_.try_emplace(network, snapshot.blocks_.size());
-    if (inserted) {
-      snapshot.blocks_.push_back(snapshot.make_aggregate());
-      if (geo != nullptr) {
-        if (const hosts::AsTraits* traits = geo->lookup(report.address); traits != nullptr) {
-          snapshot.block_asn_.emplace(network, traits->asn);
-          auto [as_it, as_inserted] =
-              snapshot.as_index_.try_emplace(traits->asn, snapshot.ases_.size());
-          if (as_inserted) snapshot.ases_.push_back(snapshot.make_aggregate());
-        }
-      }
-    }
-    Aggregate& block = snapshot.blocks_[snapshot.block_index_.at(network)];
-    Aggregate* as_aggregate = nullptr;
-    if (const auto asn_it = snapshot.block_asn_.find(network); asn_it != snapshot.block_asn_.end()) {
-      as_aggregate = &snapshot.ases_[snapshot.as_index_.at(asn_it->second)];
-    }
-    for (const double rtt_s : report.rtts_s) {
-      snapshot.fold(block, rtt_s);
-      if (as_aggregate != nullptr) snapshot.fold(*as_aggregate, rtt_s);
-      ++snapshot.total_samples_;
-    }
-  }
-
-  // The global tier is exactly the offline Table 2 recipe
-  // (bench/table2_timeout_matrix.cc): per-address percentiles, then
-  // percentile-of-percentiles. Keeping the recipe identical is what makes
-  // global lookups equal core::recommend_timeout on the same cells.
-  const analysis::PerAddressPercentiles per_address = analysis::PerAddressPercentiles::compute(
-      result.addresses, snapshot.config_.percentiles, snapshot.config_.min_samples_per_address);
-  if (per_address.address_count() > 0) {
-    snapshot.matrix_ =
-        analysis::TimeoutMatrix::compute(per_address, snapshot.config_.percentiles);
-  }
+  std::ostringstream os;
+  write_snapshot(log, config, geo, os);
+  const std::string bytes = std::move(os).str();
+  // A new[] of unsigned char is aligned for any fundamental type no larger
+  // than the array ([expr.new]), so the in-place section reads hold; and
+  // View::open checks it.
+  OracleSnapshot snapshot;
+  snapshot.image_ = std::make_unique_for_overwrite<unsigned char[]>(bytes.size());
+  std::memcpy(snapshot.image_.get(), bytes.data(), bytes.size());
+  std::string error;
+  TURTLE_CHECK(snapshot.open(snapshot.image_.get(), bytes.size(), &error))
+      << "in-memory snapshot image failed validation: " << error;
   return snapshot;
 }
 
-OracleSnapshot OracleSnapshot::build(const probe::RecordLog& log, SnapshotConfig config,
-                                     const hosts::GeoDatabase* geo) {
-  analysis::SurveyDataset dataset = analysis::SurveyDataset::from_log(log);
-  return build(dataset, std::move(config), geo);
-}
-
-bool OracleSnapshot::mapped_block_index(std::uint32_t network, std::size_t& index) const {
-  const std::span<const std::uint32_t> keys = view_.block_keys();
-  const auto it = std::lower_bound(keys.begin(), keys.end(), network);
-  if (it == keys.end() || *it != network) return false;
-  index = static_cast<std::size_t>(it - keys.begin());
-  return true;
-}
-
-bool OracleSnapshot::probe_block(std::uint32_t network, std::size_t p, std::uint64_t& samples,
-                                 double& value) const {
-  if (mapped_) {
-    std::size_t index = 0;
-    if (!mapped_block_index(network, index)) return false;
-    samples = view_.block_samples(index);
-    value = view_.block_quantile(index, p).value();
-    return true;
-  }
-  const Aggregate* block = find_block(network);
-  if (block == nullptr) return false;
-  samples = block->samples;
-  value = block->quantiles[p].value();
-  return true;
-}
-
-bool OracleSnapshot::probe_as(std::uint32_t network, std::size_t p, std::uint64_t& samples,
-                              double& value) const {
-  if (mapped_) {
-    std::size_t block = 0;
-    if (!mapped_block_index(network, block)) return false;
-    const std::uint32_t asn = view_.block_asn()[block];
-    if (asn == snapshot_format::kNoAsn) return false;
-    const std::span<const std::uint32_t> keys = view_.as_keys();
-    const auto it = std::lower_bound(keys.begin(), keys.end(), asn);
-    if (it == keys.end() || *it != asn) return false;
-    const auto index = static_cast<std::size_t>(it - keys.begin());
-    samples = view_.as_samples(index);
-    value = view_.as_quantile(index, p).value();
-    return true;
-  }
-  const Aggregate* as_aggregate = find_as(network);
-  if (as_aggregate == nullptr) return false;
-  samples = as_aggregate->samples;
-  value = as_aggregate->quantiles[p].value();
+bool OracleSnapshot::open(const unsigned char* data, std::size_t size, std::string* error) {
+  if (!snapshot_format::View::open(data, size, view_, error)) return false;
+  // Big arrays stay in the image; only the tiny Table 2 matrix is
+  // materialized (global lookups hand it to core::recommend_timeout).
+  matrix_ = view_.matrix();
   return true;
 }
 
 LookupResult OracleSnapshot::lookup(net::Ipv4Address addr, double addr_coverage,
                                     double ping_coverage, LookupScope min_scope) const {
+  const snapshot_format::Header& header = view_.header();
   const std::uint32_t network = net::Prefix24::containing(addr).network();
   const std::size_t p = percentile_index(ping_coverage);
 
-  std::uint64_t samples = 0;
-  double value = 0.0;
-  if (min_scope == LookupScope::kBlock && probe_block(network, p, samples, value) &&
-      samples >= config_.min_block_samples) {
-    return LookupResult{
-        .timeout = SimTime::from_seconds(value),
-        .scope = LookupScope::kBlock,
-        .samples = samples,
-        .confidence = 1.0 * sample_factor(samples),
-        .version = config_.version,
-    };
+  std::size_t block = 0;
+  const bool known_block =
+      min_scope != LookupScope::kGlobal && position_of(view_.block_keys(), network, block);
+  if (known_block && min_scope == LookupScope::kBlock) {
+    const std::uint64_t samples = view_.block_samples(block);
+    if (samples >= header.min_block_samples) {
+      return LookupResult{
+          .timeout = SimTime::from_seconds(view_.block_quantile(block, p).value()),
+          .scope = LookupScope::kBlock,
+          .samples = samples,
+          .confidence = 1.0 * sample_factor(samples),
+          .version = header.snapshot_version,
+      };
+    }
   }
-  if (min_scope != LookupScope::kGlobal && probe_as(network, p, samples, value) &&
-      samples >= config_.min_as_samples) {
-    return LookupResult{
-        .timeout = SimTime::from_seconds(value),
-        .scope = LookupScope::kAs,
-        .samples = samples,
-        .confidence = 0.9 * sample_factor(samples),
-        .version = config_.version,
-    };
+  const std::uint32_t asn = known_block ? view_.block_asn()[block] : snapshot_format::kNoAsn;
+  std::size_t as_index = 0;
+  if (asn != snapshot_format::kNoAsn && position_of(view_.as_keys(), asn, as_index)) {
+    const std::uint64_t samples = view_.as_samples(as_index);
+    if (samples >= header.min_as_samples) {
+      return LookupResult{
+          .timeout = SimTime::from_seconds(view_.as_quantile(as_index, p).value()),
+          .scope = LookupScope::kAs,
+          .samples = samples,
+          .confidence = 0.9 * sample_factor(samples),
+          .version = header.snapshot_version,
+      };
+    }
   }
   LookupResult global{
       .timeout = SimTime{},
       .scope = LookupScope::kGlobal,
-      .samples = total_samples_,
+      .samples = header.total_samples,
       .confidence = 0.0,
-      .version = config_.version,
+      .version = header.snapshot_version,
   };
   if (has_data()) {
     global.timeout = core::recommend_timeout(matrix_, addr_coverage, ping_coverage);
-    global.confidence = 0.75 * sample_factor(total_samples_);
+    global.confidence = 0.75 * sample_factor(header.total_samples);
   }
   return global;
 }
 
 std::uint64_t OracleSnapshot::block_samples(net::Ipv4Address addr) const {
-  const std::uint32_t network = net::Prefix24::containing(addr).network();
-  if (mapped_) {
-    std::size_t index = 0;
-    return mapped_block_index(network, index) ? view_.block_samples(index) : 0;
-  }
-  const Aggregate* block = find_block(network);
-  return block == nullptr ? 0 : block->samples;
+  std::size_t index = 0;
+  return position_of(view_.block_keys(), net::Prefix24::containing(addr).network(), index)
+             ? view_.block_samples(index)
+             : 0;
 }
 
 void OracleSnapshot::write(const std::string& path) const {
@@ -209,134 +136,35 @@ void OracleSnapshot::write(const std::string& path) const {
   write(os);
 }
 
-void OracleSnapshot::write(std::ostream& os) const {
-  TURTLE_CHECK(!mapped_) << "a mapped snapshot is already the serialized file";
-  namespace sf = snapshot_format;
-  sf::Header header;
-  header.snapshot_version = config_.version;
-  header.total_samples = total_samples_;
-  header.min_block_samples = config_.min_block_samples;
-  header.min_as_samples = config_.min_as_samples;
-  header.min_samples_per_address = config_.min_samples_per_address;
-  header.percentile_count = static_cast<std::uint32_t>(config_.percentiles.size());
-  header.block_count = static_cast<std::uint32_t>(blocks_.size());
-  header.as_count = static_cast<std::uint32_t>(ases_.size());
-  header.matrix_rows = static_cast<std::uint32_t>(matrix_.cells.size());
-  header.matrix_cols =
-      static_cast<std::uint32_t>(matrix_.cells.empty() ? 0 : matrix_.cells.front().size());
-  if (header.matrix_rows > 0 && header.matrix_cols > 0) header.flags |= sf::kFlagHasMatrix;
-
-  sf::Writer writer{os, header};
-  writer.begin_section(sf::kPercentiles);
-  for (const double p : config_.percentiles) writer.put_f64(p);
-
-  // Key-sorted iteration (util::ordered_keys) is what makes the file a
-  // pure function of the logical content, not of hash-table history.
-  const std::vector<std::uint32_t> networks = util::ordered_keys(block_index_);
-  writer.begin_section(sf::kBlockKeys);
-  for (const std::uint32_t network : networks) writer.put_u32(network);
-  writer.begin_section(sf::kBlockAsn);
-  for (const std::uint32_t network : networks) {
-    const auto it = block_asn_.find(network);
-    writer.put_u32(it == block_asn_.end() ? sf::kNoAsn : it->second);
-  }
-  writer.begin_section(sf::kBlockAggs);
-  for (const std::uint32_t network : networks) {
-    const Aggregate& aggregate = blocks_[block_index_.at(network)];
-    writer.put_aggregate(aggregate.samples, aggregate.quantiles);
-  }
-
-  const std::vector<std::uint32_t> asns = util::ordered_keys(as_index_);
-  writer.begin_section(sf::kAsKeys);
-  for (const std::uint32_t asn : asns) writer.put_u32(asn);
-  writer.begin_section(sf::kAsAggs);
-  for (const std::uint32_t asn : asns) {
-    const Aggregate& aggregate = ases_[as_index_.at(asn)];
-    writer.put_aggregate(aggregate.samples, aggregate.quantiles);
-  }
-
-  writer.begin_section(sf::kMatrixRows);
-  for (const double r : matrix_.row_percentiles) writer.put_f64(r);
-  writer.begin_section(sf::kMatrixCols);
-  for (const double c : matrix_.col_percentiles) writer.put_f64(c);
-  writer.begin_section(sf::kMatrixCells);
-  for (const std::vector<double>& row : matrix_.cells) {
-    for (const double cell : row) writer.put_f64(cell);
-  }
-  writer.finish();
-}
+void OracleSnapshot::write(std::ostream& os) const { view_.write(os); }
 
 std::shared_ptr<const OracleSnapshot> OracleSnapshot::map(const std::string& path,
                                                           std::string* error,
                                                           obs::Registry* registry) {
   std::string local_error;
-  const auto reject = [&]() -> std::shared_ptr<const OracleSnapshot> {
-    if (error != nullptr) *error = local_error;
-    // Tolerant-loading ledger: a refused snapshot is a counted fault
-    // observation, mirroring the record loader's detectable-corruption
-    // accounting (PR 4), never a silent nullptr.
-    if (registry != nullptr) registry->counter("fault.snapshot.load_rejected").inc();
-    return nullptr;
-  };
   util::MappedFile file = util::MappedFile::open(path, &local_error);
-  if (!file.valid()) return reject();
-  snapshot_format::View view;
-  if (!snapshot_format::View::open(file.data(), file.size(), view, &local_error)) {
-    return reject();
-  }
-
-  const snapshot_format::Header& header = view.header();
-  SnapshotConfig config;
-  config.percentiles.assign(view.percentiles().begin(), view.percentiles().end());
-  config.min_block_samples = static_cast<std::size_t>(header.min_block_samples);
-  config.min_as_samples = static_cast<std::size_t>(header.min_as_samples);
-  config.min_samples_per_address = static_cast<std::size_t>(header.min_samples_per_address);
-  config.version = header.snapshot_version;
-
-  // Big arrays stay in the mapping; only the tiny Table 2 matrix is
-  // materialized (global lookups hand it to core::recommend_timeout).
-  auto snapshot = std::shared_ptr<OracleSnapshot>{new OracleSnapshot{std::move(config)}};
+  auto snapshot = std::shared_ptr<OracleSnapshot>{new OracleSnapshot};
   snapshot->file_ = std::move(file);
-  snapshot->view_ = view;
-  snapshot->mapped_ = true;
-  snapshot->total_samples_ = header.total_samples;
-  snapshot->matrix_ = view.matrix();
-  return snapshot;
-}
-
-OracleSnapshot::Aggregate OracleSnapshot::make_aggregate() const {
-  Aggregate aggregate;
-  aggregate.quantiles.reserve(config_.percentiles.size());
-  for (const double p : config_.percentiles) {
-    aggregate.quantiles.emplace_back(p / 100.0);
+  if (snapshot->file_.valid() &&
+      snapshot->open(snapshot->file_.data(), snapshot->file_.size(), &local_error)) {
+    return snapshot;
   }
-  return aggregate;
-}
-
-void OracleSnapshot::fold(Aggregate& aggregate, double rtt_s) {
-  for (core::P2Quantile& quantile : aggregate.quantiles) quantile.add(rtt_s);
-  ++aggregate.samples;
-}
-
-const OracleSnapshot::Aggregate* OracleSnapshot::find_block(std::uint32_t network) const {
-  const auto it = block_index_.find(network);
-  return it == block_index_.end() ? nullptr : &blocks_[it->second];
-}
-
-const OracleSnapshot::Aggregate* OracleSnapshot::find_as(std::uint32_t network) const {
-  const auto asn_it = block_asn_.find(network);
-  if (asn_it == block_asn_.end()) return nullptr;
-  const auto it = as_index_.find(asn_it->second);
-  return it == as_index_.end() ? nullptr : &ases_[it->second];
+  if (error != nullptr) *error = local_error;
+  // Tolerant-loading ledger: a refused snapshot is a counted fault
+  // observation, mirroring the record loader's detectable-corruption
+  // accounting, never a silent nullptr.
+  if (registry != nullptr) registry->counter("fault.snapshot.load_rejected").inc();
+  return nullptr;
 }
 
 std::size_t OracleSnapshot::percentile_index(double p) const {
   // Same nearest-percentile clamping core::recommend_timeout uses, so the
   // tiers agree on what "99% ping coverage" means.
+  const std::span<const double> percentiles = view_.percentiles();
   std::size_t best = 0;
-  double best_dist = std::abs(config_.percentiles[0] - p);
-  for (std::size_t i = 1; i < config_.percentiles.size(); ++i) {
-    const double d = std::abs(config_.percentiles[i] - p);
+  double best_dist = std::abs(percentiles[0] - p);
+  for (std::size_t i = 1; i < percentiles.size(); ++i) {
+    const double d = std::abs(percentiles[i] - p);
     if (d < best_dist) {
       best = i;
       best_dist = d;

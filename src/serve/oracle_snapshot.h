@@ -7,8 +7,8 @@
 // snapshot turns one survey's record log into a queryable structure with
 // three tiers of answer, most specific first:
 //
-//   * per-/24-block pooled-ping quantiles, held as core::P2Quantile
-//     estimators (five markers, ~40 bytes per tracked quantile) so a
+//   * per-/24-block pooled-ping quantiles, held as frozen core::P2Quantile
+//     marker states (five markers per tracked quantile) so a
 //     million-block snapshot stays cheap — the same bounded-state argument
 //     the paper makes for prober timeout state (Section 2.1);
 //   * per-AS quantiles (same estimators pooled over the AS's blocks),
@@ -27,12 +27,9 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "analysis/dataset.h"
 #include "analysis/percentiles.h"
-#include "core/p2_quantile.h"
 #include "hosts/geodb.h"
 #include "net/ipv4.h"
 #include "obs/metrics.h"
@@ -86,37 +83,39 @@ struct LookupResult {
 /// Immutable per-survey index. Build once, share via shared_ptr, never
 /// mutate — the serving layer relies on snapshots being frozen.
 ///
+/// There is one representation: a validated snapshot-v1 image
+/// (snapshot_format.h, DESIGN §15) that every lookup reads in place,
+/// through a snapshot_format::View over bytes the snapshot owns — a file
+/// mapping from map(), or an 8-byte-aligned heap copy from build(). Only
+/// the small Table 2 matrix is decoded up front. Movable, not copyable: a
+/// move keeps the bytes where they are, a copy would leave the view
+/// pointing into the source.
+///
 /// Thread contract (checked by -Wthread-safety at the call sites): a
-/// snapshot deliberately holds no mutex of its own. Every mutation
-/// (`fold`, the build statics) happens before the object is shared, every
-/// public const accessor reads only frozen state (core::P2Quantile::value
-/// is const with no mutable members), so concurrent lookup() calls from
-/// many serving threads need no lock. The one guarded thing is *which*
-/// snapshot is live, and that pointer lives in a serve::Oracle — under
-/// OracleServer's mu_ (TURTLE_GUARDED_BY) in the sim — and in-flight
-/// requests keep their dispatch-time shared_ptr, so a hot-swap never frees
-/// a snapshot mid-lookup.
+/// snapshot deliberately holds no mutex of its own. The image is written
+/// once, before the object is shared; every public const accessor only
+/// reads it (a restored core::P2Quantile is a local value), so concurrent
+/// lookup() calls from many serving threads need no lock. The one guarded
+/// thing is *which* snapshot is live, and that pointer lives in a
+/// serve::Oracle — under OracleServer's mu_ (TURTLE_GUARDED_BY) in the
+/// sim — and in-flight requests keep their dispatch-time shared_ptr, so a
+/// hot-swap never frees a snapshot mid-lookup.
 class OracleSnapshot {
  public:
-  /// Builds from a grouped dataset (mutated by the filtering pipeline —
-  /// pass a fresh one). `geo`, when given, enables the AS tier; without it
-  /// lookups fall back block -> global. The pipeline's broadcast and
-  /// duplicate filters run first, so poisoned responders never contribute
-  /// to any tier's quantiles.
-  static OracleSnapshot build(analysis::SurveyDataset& dataset, SnapshotConfig config = {},
-                              const hosts::GeoDatabase* geo = nullptr);
-
-  /// Convenience: groups the log, then builds. This is the crash-recovery
-  /// path of last resort: a server that lost its snapshot and has no
-  /// snapshot file reloads the checkpointed record log and rebuilds.
+  /// Groups the log and folds it exactly as build_snapshot_file does
+  /// (snapshot_builder.h), run in memory as a single shard with no spill
+  /// files, so the image is byte-identical to the streamed file. `geo`,
+  /// when given, enables the AS tier; without it lookups fall back block
+  /// -> global. The pipeline's broadcast and duplicate filters run first,
+  /// so poisoned responders never contribute to any tier's quantiles.
+  /// This is also the crash-recovery path of last resort: a server that
+  /// lost its snapshot and has no snapshot file reloads the checkpointed
+  /// record log and rebuilds.
   static OracleSnapshot build(const probe::RecordLog& log, SnapshotConfig config = {},
                               const hosts::GeoDatabase* geo = nullptr);
 
-  /// Serializes to the snapshot-v1 on-disk format (snapshot_format.h,
-  /// DESIGN §15). Output is byte-identical for identical logical content:
-  /// blocks and ASes are written key-sorted, and the P2 marker states are
-  /// frozen exactly — which is why a streaming build and an in-memory
-  /// build of the same log produce `cmp`-equal files.
+  /// Writes the snapshot-v1 image (snapshot_format.h, DESIGN §15) as is:
+  /// mapping a written file serves exactly the lookups this snapshot does.
   void write(const std::string& path) const;
   void write(std::ostream& os) const;
 
@@ -143,17 +142,10 @@ class OracleSnapshot {
                                     double ping_coverage,
                                     LookupScope min_scope = LookupScope::kBlock) const;
 
-  [[nodiscard]] std::uint64_t version() const { return config_.version; }
-  [[nodiscard]] std::size_t block_count() const {
-    return mapped_ ? view_.header().block_count : blocks_.size();
-  }
-  [[nodiscard]] std::size_t as_count() const {
-    return mapped_ ? view_.header().as_count : ases_.size();
-  }
-  [[nodiscard]] std::uint64_t total_samples() const { return total_samples_; }
-  /// True when this snapshot serves from a mapped file instead of owned
-  /// heap aggregates.
-  [[nodiscard]] bool mapped() const { return mapped_; }
+  [[nodiscard]] std::uint64_t version() const { return view_.header().snapshot_version; }
+  [[nodiscard]] std::size_t block_count() const { return view_.header().block_count; }
+  [[nodiscard]] std::size_t as_count() const { return view_.header().as_count; }
+  [[nodiscard]] std::uint64_t total_samples() const { return view_.header().total_samples; }
   /// True when the underlying survey produced any usable addresses.
   [[nodiscard]] bool has_data() const { return !matrix_.cells.empty(); }
 
@@ -165,48 +157,19 @@ class OracleSnapshot {
   [[nodiscard]] std::uint64_t block_samples(net::Ipv4Address addr) const;
 
  private:
-  /// One tier's pooled-ping quantile estimators: P2 markers per configured
-  /// percentile plus the pool size.
-  struct Aggregate {
-    std::vector<core::P2Quantile> quantiles;
-    std::uint64_t samples = 0;
-  };
+  OracleSnapshot() = default;
 
-  explicit OracleSnapshot(SnapshotConfig config) : config_{std::move(config)} {}
+  /// Validates the `size` image bytes this snapshot owns (file_ or image_)
+  /// and decodes the matrix.
+  [[nodiscard]] bool open(const unsigned char* data, std::size_t size, std::string* error);
 
-  [[nodiscard]] Aggregate make_aggregate() const;
-  void fold(Aggregate& aggregate, double rtt_s);
-  [[nodiscard]] const Aggregate* find_block(std::uint32_t network) const;
-  [[nodiscard]] const Aggregate* find_as(std::uint32_t network) const;
   [[nodiscard]] std::size_t percentile_index(double p) const;
 
-  /// Tier probes behind lookup(): find the /24 (or its AS) aggregate and
-  /// produce its pool size plus the p-th quantile estimate, from either
-  /// the owned aggregates or the mapped image. The mapped path restores
-  /// the frozen P2 state and evaluates the *same* value() code, which is
-  /// what makes the two modes bitwise-identical (the parity test's claim).
-  [[nodiscard]] bool probe_block(std::uint32_t network, std::size_t p, std::uint64_t& samples,
-                                 double& value) const;
-  [[nodiscard]] bool probe_as(std::uint32_t network, std::size_t p, std::uint64_t& samples,
-                              double& value) const;
-  /// Index of `network` in the mapped sorted block-key section, if present.
-  [[nodiscard]] bool mapped_block_index(std::uint32_t network, std::size_t& index) const;
-
-  SnapshotConfig config_;
-  std::unordered_map<std::uint32_t, std::size_t> block_index_;  // /24 network -> blocks_
-  std::vector<Aggregate> blocks_;
-  std::unordered_map<std::uint32_t, std::size_t> as_index_;  // asn -> ases_
-  std::vector<Aggregate> ases_;
-  std::unordered_map<std::uint32_t, std::uint32_t> block_asn_;  // /24 network -> asn
-  analysis::TimeoutMatrix matrix_;
-  std::uint64_t total_samples_ = 0;
-
-  /// Mapped mode (map()): the file mapping plus the typed view over it.
-  /// The owned containers above stay empty; lookups binary-search the
-  /// image's sorted key sections instead.
+  /// The image's owner: exactly one of these holds the bytes view_ reads.
   util::MappedFile file_;
+  std::unique_ptr<unsigned char[]> image_;
   snapshot_format::View view_;
-  bool mapped_ = false;
+  analysis::TimeoutMatrix matrix_;
 };
 
 }  // namespace turtle::serve

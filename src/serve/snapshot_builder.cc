@@ -1,10 +1,13 @@
 #include "serve/snapshot_builder.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -24,9 +27,9 @@ namespace sf = snapshot_format;
 
 namespace {
 
-/// One tier aggregate under construction: the same estimator-per-
-/// percentile shape OracleSnapshot folds, rebuilt here because the
-/// builder freezes aggregates to spill files instead of keeping them.
+/// One tier aggregate under construction: an estimator per tracked
+/// percentile plus the pool size. Block and AS tiers fold through here,
+/// in the streaming build and the in-memory one alike.
 struct Aggregate {
   std::vector<core::P2Quantile> quantiles;
   std::uint64_t samples = 0;
@@ -44,6 +47,216 @@ void fold(Aggregate& aggregate, double rtt_s) {
   ++aggregate.samples;
 }
 
+/// The three block sections, in file order. A shard's fold produces its
+/// run of each, and the file's section is the shard runs concatenated.
+constexpr std::array<sf::Section, 3> kBlockSections = {sf::kBlockKeys, sf::kBlockAsn,
+                                                       sf::kBlockAggs};
+
+/// One shard's fold, encoded in the snapshot's own byte conventions.
+struct ShardFold {
+  /// This shard's run of each block section, indexed like kBlockSections.
+  std::array<std::string, kBlockSections.size()> blocks;
+  /// The AS-tier fold sequence: per report, in canonical order, the
+  /// block's ASN (u32), the RTT count n (u32) and n RTTs (f64).
+  std::string as_run;
+  /// Per-address percentile columns for the matrix: the address count
+  /// (u64), then one column of f64 values per tracked percentile.
+  std::string columns;
+  std::size_t block_count = 0;
+  std::uint64_t address_count = 0;
+  std::uint64_t total_samples = 0;
+};
+
+/// Folds one shard: run the filtering pipeline over the shard's records,
+/// walk reports in the canonical network order, freeze block aggregates,
+/// and record the AS-tier RTT run plus the matrix columns.
+ShardFold fold_shard(const probe::RecordLog& log, const SnapshotConfig& config,
+                     const hosts::GeoDatabase* geo) {
+  ShardFold out;
+  analysis::SurveyDataset dataset = analysis::SurveyDataset::from_log(log);
+  // No registry: the serving layer publishes serve.* metrics, not a second
+  // copy of pipeline.*.
+  analysis::PipelineConfig pipeline_config;
+  const analysis::PipelineResult result = analysis::run_pipeline(dataset, pipeline_config);
+
+  // Canonical fold order: reports stable-sorted by /24 network. P2 marker
+  // states depend on fold order, so the order is part of the format's
+  // determinism contract. Shards cover contiguous ascending network
+  // ranges, so folding each in this order and concatenating reproduces
+  // the one-shard fold exactly. Within a network (and per address) the
+  // log's order is preserved, which is what "stable" buys.
+  std::vector<const analysis::AddressReport*> canonical;
+  canonical.reserve(result.addresses.size());
+  for (const analysis::AddressReport& report : result.addresses) canonical.push_back(&report);
+  std::stable_sort(canonical.begin(), canonical.end(),
+                   [](const analysis::AddressReport* a, const analysis::AddressReport* b) {
+                     return net::Prefix24::containing(a->address).network() <
+                            net::Prefix24::containing(b->address).network();
+                   });
+
+  std::size_t as_run_bytes = 0;
+  for (const analysis::AddressReport& report : result.addresses) {
+    as_run_bytes += 8 + 8 * report.rtts_s.size();
+  }
+  if (geo != nullptr) out.as_run.reserve(as_run_bytes);
+
+  Aggregate block = make_aggregate(config.percentiles);
+  std::uint32_t block_network = 0;
+  std::uint32_t block_asn = sf::kNoAsn;
+  bool block_open = false;
+  const auto flush_block = [&] {
+    if (!block_open) return;
+    sf::append_u32(out.blocks[0], block_network);
+    sf::append_u32(out.blocks[1], block_asn);
+    sf::append_aggregate(out.blocks[2], block.samples, block.quantiles);
+    ++out.block_count;
+    block = make_aggregate(config.percentiles);
+    block_open = false;
+  };
+
+  for (const analysis::AddressReport* report : canonical) {
+    const std::uint32_t network = net::Prefix24::containing(report->address).network();
+    if (!block_open || network != block_network) {
+      flush_block();
+      block_open = true;
+      block_network = network;
+      block_asn = sf::kNoAsn;
+      if (geo != nullptr) {
+        if (const hosts::AsTraits* traits = geo->lookup(report->address); traits != nullptr) {
+          block_asn = traits->asn;
+        }
+      }
+    }
+    for (const double rtt_s : report->rtts_s) {
+      fold(block, rtt_s);
+      ++out.total_samples;
+    }
+    if (block_asn != sf::kNoAsn && !report->rtts_s.empty()) {
+      sf::append_u32(out.as_run, block_asn);
+      sf::append_u32(out.as_run, static_cast<std::uint32_t>(report->rtts_s.size()));
+      for (const double rtt_s : report->rtts_s) sf::append_f64(out.as_run, rtt_s);
+    }
+  }
+  flush_block();
+
+  // Matrix columns: per-address percentile values. Column order depends
+  // on the shard cut, but the matrix percentiles sort each column first,
+  // so the cells are bitwise identical for any cut.
+  const analysis::PerAddressPercentiles per_address = analysis::PerAddressPercentiles::compute(
+      result.addresses, config.percentiles, config.min_samples_per_address);
+  out.address_count = per_address.address_count();
+  sf::append_u64(out.columns, out.address_count);
+  for (const std::vector<double>& column : per_address.values) {
+    TURTLE_CHECK_EQ(column.size(), out.address_count);
+    for (const double value : column) sf::append_f64(out.columns, value);
+  }
+  return out;
+}
+
+/// Pass D's merge of shard folds, taken in shard index order.
+struct Merge {
+  explicit Merge(const SnapshotConfig& config) : config{config} {
+    per_address.percentiles = config.percentiles;
+    per_address.values.assign(config.percentiles.size(), {});
+  }
+
+  /// Adds one shard: its counts, its AS fold sequence and its matrix
+  /// columns (the ShardFold::as_run and ShardFold::columns encodings).
+  void add(std::size_t shard_blocks, std::uint64_t shard_samples, std::string_view as_run,
+           std::string_view columns) {
+    block_count += shard_blocks;
+    total_samples += shard_samples;
+
+    // P2 states cannot be merged, so replay the canonical RTT sequence
+    // into per-AS estimators: the same fold, in the same order.
+    std::size_t at = 0;
+    while (at < as_run.size()) {
+      if (as_run.size() - at < 8) {
+        throw std::runtime_error("snapshot builder: truncated AS run");
+      }
+      const std::uint32_t asn = sf::read_u32(as_run.data() + at);
+      const std::uint32_t n = sf::read_u32(as_run.data() + at + 4);
+      at += 8;
+      if ((as_run.size() - at) / 8 < n) {
+        throw std::runtime_error("snapshot builder: truncated AS run");
+      }
+      auto [it, inserted] = ases.try_emplace(asn);
+      if (inserted) it->second = make_aggregate(config.percentiles);
+      for (std::uint32_t s = 0; s < n; ++s, at += 8) {
+        fold(it->second, sf::read_f64(as_run.data() + at));
+      }
+    }
+
+    // Concatenate the per-address percentile columns.
+    const std::uint64_t count = columns.size() < 8 ? 0 : sf::read_u64(columns.data());
+    if (columns.size() != 8 + count * 8 * per_address.values.size()) {
+      throw std::runtime_error("snapshot builder: truncated matrix columns");
+    }
+    const char* value = columns.data() + 8;
+    for (std::vector<double>& column : per_address.values) {
+      for (std::uint64_t a = 0; a < count; ++a, value += 8) column.push_back(sf::read_f64(value));
+    }
+  }
+
+  /// Pass D's write: fills the header from the merged counts and emits
+  /// every section in file order. Only the block sections come from the
+  /// caller, which holds them (`put_block_section(writer, i)` emits
+  /// kBlockSections[i]).
+  void write(std::ostream& os,
+             const std::function<void(sf::Writer&, std::size_t)>& put_block_section) const {
+    // The global tier is exactly the offline Table 2 recipe
+    // (bench/table2_timeout_matrix.cc): per-address percentiles, then
+    // percentile-of-percentiles, so global lookups equal
+    // core::recommend_timeout on the same cells.
+    analysis::TimeoutMatrix matrix;
+    if (per_address.address_count() > 0) {
+      matrix = analysis::TimeoutMatrix::compute(per_address, config.percentiles);
+    }
+    sf::Header header;
+    header.snapshot_version = config.version;
+    header.total_samples = total_samples;
+    header.min_block_samples = config.min_block_samples;
+    header.min_as_samples = config.min_as_samples;
+    header.min_samples_per_address = config.min_samples_per_address;
+    header.percentile_count = static_cast<std::uint32_t>(config.percentiles.size());
+    header.block_count = static_cast<std::uint32_t>(block_count);
+    header.as_count = static_cast<std::uint32_t>(ases.size());
+    header.matrix_rows = static_cast<std::uint32_t>(matrix.cells.size());
+    header.matrix_cols =
+        static_cast<std::uint32_t>(matrix.cells.empty() ? 0 : matrix.cells.front().size());
+    if (header.matrix_rows > 0 && header.matrix_cols > 0) header.flags |= sf::kFlagHasMatrix;
+
+    sf::Writer writer{os, header};
+    writer.begin_section(sf::kPercentiles);
+    for (const double p : config.percentiles) writer.put_f64(p);
+    for (std::size_t i = 0; i < kBlockSections.size(); ++i) {
+      writer.begin_section(kBlockSections[i]);
+      put_block_section(writer, i);
+    }
+    writer.begin_section(sf::kAsKeys);
+    for (const auto& [asn, aggregate] : ases) writer.put_u32(asn);
+    writer.begin_section(sf::kAsAggs);
+    for (const auto& [asn, aggregate] : ases) {
+      writer.put_aggregate(aggregate.samples, aggregate.quantiles);
+    }
+    writer.begin_section(sf::kMatrixRows);
+    for (const double r : matrix.row_percentiles) writer.put_f64(r);
+    writer.begin_section(sf::kMatrixCols);
+    for (const double c : matrix.col_percentiles) writer.put_f64(c);
+    writer.begin_section(sf::kMatrixCells);
+    for (const std::vector<double>& row : matrix.cells) {
+      for (const double cell : row) writer.put_f64(cell);
+    }
+    writer.finish();
+  }
+
+  const SnapshotConfig& config;
+  std::size_t block_count = 0;
+  std::uint64_t total_samples = 0;
+  std::map<std::uint32_t, Aggregate> ases;  ///< std::map: deterministic key order
+  analysis::PerAddressPercentiles per_address;
+};
+
 /// Contiguous ascending /24 range assigned to one shard.
 struct ShardRange {
   std::uint32_t first_network = 0;
@@ -52,19 +265,21 @@ struct ShardRange {
 
 struct ShardOutput {
   std::size_t block_count = 0;
-  std::uint64_t address_count = 0;  ///< matrix rows the shard spilled
+  std::uint64_t address_count = 0;
   std::uint64_t total_samples = 0;
   std::string error;  ///< non-empty when the shard fold threw
 };
 
 struct SpillPaths {
-  std::string records, keys, asns, aggs, as_run, matrix;
+  std::string records;
+  std::array<std::string, kBlockSections.size()> blocks;
+  std::string as_run, columns;
 };
 
 SpillPaths spill_paths(const std::string& prefix, std::size_t shard) {
   const std::string base = prefix + "shard" + std::to_string(shard);
-  return SpillPaths{base + ".rec", base + ".key", base + ".asn",
-                    base + ".agg", base + ".asrun", base + ".mat"};
+  return SpillPaths{base + ".rec", {base + ".key", base + ".asn", base + ".agg"}, base + ".asrun",
+                    base + ".mat"};
 }
 
 std::ofstream open_out(const std::string& path) {
@@ -79,11 +294,29 @@ std::ifstream open_in(const std::string& path) {
   return is;
 }
 
-void remove_spills(const SpillPaths& paths) {
-  for (const std::string* path :
-       {&paths.records, &paths.keys, &paths.asns, &paths.aggs, &paths.as_run, &paths.matrix}) {
-    std::remove(path->c_str());
+void write_spill(const std::string& path, const std::string& bytes) {
+  std::ofstream os = open_out(path);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  os.flush();
+  if (!os) throw std::runtime_error("snapshot builder: spill write failed: " + path);
+}
+
+std::string read_spill(const std::string& path) {
+  std::ifstream is = open_in(path);
+  is.seekg(0, std::ios_base::end);
+  std::string bytes(static_cast<std::size_t>(is.tellg()), '\0');
+  is.seekg(0);
+  if (!is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()))) {
+    throw std::runtime_error("snapshot builder: cannot read " + path);
   }
+  return bytes;
+}
+
+void remove_spills(const SpillPaths& paths) {
+  std::remove(paths.records.c_str());
+  for (const std::string& path : paths.blocks) std::remove(path.c_str());
+  std::remove(paths.as_run.c_str());
+  std::remove(paths.columns.c_str());
 }
 
 /// Streams a whole spill file into the writer (used for the block
@@ -99,114 +332,30 @@ void concat_file(sf::Writer& writer, const std::string& path) {
   }
 }
 
-/// Folds one shard: run the filtering pipeline over the shard's records,
-/// walk reports in the canonical network order, freeze block aggregates,
-/// and spill the AS-tier RTT run plus the matrix columns.
-ShardOutput fold_shard(const SpillPaths& paths, const BuilderConfig& config) {
-  ShardOutput out;
-  probe::RecordLog log;
-  {
-    std::ifstream is = open_in(paths.records);
-    log = probe::RecordLog::load(is);
+/// Pass C for one shard: load its record spill, fold it, spill the fold.
+ShardOutput fold_spilled_shard(const SpillPaths& paths, const BuilderConfig& config) {
+  std::ifstream is = open_in(paths.records);
+  const ShardFold fold = fold_shard(probe::RecordLog::load(is), config.snapshot, config.geo);
+  for (std::size_t i = 0; i < kBlockSections.size(); ++i) {
+    write_spill(paths.blocks[i], fold.blocks[i]);
   }
-  analysis::SurveyDataset dataset = analysis::SurveyDataset::from_log(log);
-  analysis::PipelineConfig pipeline_config;  // defaults, same as OracleSnapshot::build
-  const analysis::PipelineResult result = analysis::run_pipeline(dataset, pipeline_config);
-
-  // Canonical fold order (see OracleSnapshot::build): stable sort by /24.
-  std::vector<const analysis::AddressReport*> canonical;
-  canonical.reserve(result.addresses.size());
-  for (const analysis::AddressReport& report : result.addresses) canonical.push_back(&report);
-  std::stable_sort(canonical.begin(), canonical.end(),
-                   [](const analysis::AddressReport* a, const analysis::AddressReport* b) {
-                     return net::Prefix24::containing(a->address).network() <
-                            net::Prefix24::containing(b->address).network();
-                   });
-
-  std::ofstream keys_os = open_out(paths.keys);
-  std::ofstream asns_os = open_out(paths.asns);
-  std::ofstream aggs_os = open_out(paths.aggs);
-  std::ofstream as_run_os = open_out(paths.as_run);
-
-  Aggregate block = make_aggregate(config.snapshot.percentiles);
-  std::uint32_t block_network = 0;
-  std::uint32_t block_asn = sf::kNoAsn;
-  bool block_open = false;
-  std::string buffer;
-  const auto flush_block = [&] {
-    if (!block_open) return;
-    buffer.clear();
-    sf::append_u32(buffer, block_network);
-    keys_os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-    buffer.clear();
-    sf::append_u32(buffer, block_asn);
-    asns_os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-    buffer.clear();
-    sf::append_aggregate(buffer, block.samples, block.quantiles);
-    aggs_os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-    ++out.block_count;
-    block = make_aggregate(config.snapshot.percentiles);
-    block_open = false;
-  };
-
-  for (const analysis::AddressReport* report : canonical) {
-    const std::uint32_t network = net::Prefix24::containing(report->address).network();
-    if (!block_open || network != block_network) {
-      flush_block();
-      block_open = true;
-      block_network = network;
-      block_asn = sf::kNoAsn;
-      if (config.geo != nullptr) {
-        if (const hosts::AsTraits* traits = config.geo->lookup(report->address);
-            traits != nullptr) {
-          block_asn = traits->asn;
-        }
-      }
-    }
-    for (const double rtt_s : report->rtts_s) {
-      fold(block, rtt_s);
-      ++out.total_samples;
-    }
-    if (block_asn != sf::kNoAsn && !report->rtts_s.empty()) {
-      // The AS-tier fold sequence: (asn, this report's RTTs) entries in
-      // canonical order. The merge replays them shard after shard, which
-      // is exactly the sequence OracleSnapshot::build folds.
-      buffer.clear();
-      sf::append_u32(buffer, block_asn);
-      sf::append_u32(buffer, static_cast<std::uint32_t>(report->rtts_s.size()));
-      for (const double rtt_s : report->rtts_s) sf::append_f64(buffer, rtt_s);
-      as_run_os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-    }
-  }
-  flush_block();
-
-  // Matrix columns: per-address percentile values. Column order across
-  // shards differs from the in-memory build's dataset order, but the
-  // matrix percentiles sort each column first, so the cells are bitwise
-  // identical either way.
-  const analysis::PerAddressPercentiles per_address = analysis::PerAddressPercentiles::compute(
-      result.addresses, config.snapshot.percentiles, config.snapshot.min_samples_per_address);
-  {
-    std::ofstream matrix_os = open_out(paths.matrix);
-    buffer.clear();
-    sf::append_u64(buffer, per_address.address_count());
-    for (const std::vector<double>& column : per_address.values) {
-      TURTLE_CHECK_EQ(column.size(), per_address.address_count());
-      for (const double value : column) sf::append_f64(buffer, value);
-    }
-    matrix_os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-    if (!matrix_os) throw std::runtime_error("snapshot builder: matrix spill write failed");
-  }
-  out.address_count = per_address.address_count();
-
-  for (std::ofstream* os : {&keys_os, &asns_os, &aggs_os, &as_run_os}) {
-    os->flush();
-    if (!*os) throw std::runtime_error("snapshot builder: shard spill write failed");
-  }
-  return out;
+  write_spill(paths.as_run, fold.as_run);
+  write_spill(paths.columns, fold.columns);
+  return ShardOutput{fold.block_count, fold.address_count, fold.total_samples, {}};
 }
 
 }  // namespace
+
+void write_snapshot(const probe::RecordLog& log, const SnapshotConfig& config,
+                    const hosts::GeoDatabase* geo, std::ostream& os) {
+  TURTLE_CHECK(!config.percentiles.empty()) << "snapshot needs at least one percentile";
+  const ShardFold shard = fold_shard(log, config, geo);
+  Merge merge{config};
+  merge.add(shard.block_count, shard.total_samples, shard.as_run, shard.columns);
+  merge.write(os, [&shard](sf::Writer& writer, std::size_t i) {
+    writer.put_bytes(shard.blocks[i].data(), shard.blocks[i].size());
+  });
+}
 
 BuildLedger build_snapshot_file(const std::string& log_path, const std::string& out_path,
                                 const BuilderConfig& config) {
@@ -309,7 +458,7 @@ BuildLedger build_snapshot_file(const std::string& log_path, const std::string& 
     for (std::size_t i = 0; i < shards.size(); ++i) {
       pool.submit([&, i] {
         try {
-          outputs[i] = fold_shard(paths[i], config);
+          outputs[i] = fold_spilled_shard(paths[i], config);
         } catch (const std::exception& e) {
           outputs[i].error = e.what();
         }
@@ -324,113 +473,28 @@ BuildLedger build_snapshot_file(const std::string& log_path, const std::string& 
     }
   }
 
-  // Pass D, AS replay: P2 states cannot be merged, so replay the spilled
-  // canonical RTT sequence shard by shard. Memory: one aggregate per
-  // distinct AS (std::map for deterministic key order).
-  std::map<std::uint32_t, Aggregate> ases;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    std::ifstream is = open_in(paths[i].as_run);
-    std::vector<char> head(8);
-    std::vector<char> rtts;
-    while (is.read(head.data(), 8)) {
-      const std::uint32_t asn = sf::read_u32(head.data());
-      const std::uint32_t n = sf::read_u32(head.data() + 4);
-      rtts.resize(std::size_t{n} * 8);
-      if (!is.read(rtts.data(), static_cast<std::streamsize>(rtts.size()))) {
-        throw std::runtime_error("snapshot builder: truncated AS spill");
-      }
-      auto [it, inserted] = ases.try_emplace(asn, Aggregate{});
-      if (inserted) it->second = make_aggregate(config.snapshot.percentiles);
-      for (std::uint32_t s = 0; s < n; ++s) {
-        fold(it->second, sf::read_f64(rtts.data() + std::size_t{s} * 8));
-      }
-    }
-  }
-
-  // Pass D, matrix: concatenate the per-shard percentile columns and run
-  // the same Table 2 recipe as the in-memory build.
-  analysis::PerAddressPercentiles per_address;
-  per_address.percentiles = config.snapshot.percentiles;
-  per_address.values.assign(config.snapshot.percentiles.size(), {});
+  // Pass D: merge the shards in index order. Memory: one aggregate per
+  // distinct AS, the matrix columns, and one shard's AS run at a time.
+  Merge merge{config.snapshot};
   std::uint64_t address_total = 0;
   for (const ShardOutput& output : outputs) address_total += output.address_count;
-  for (std::vector<double>& column : per_address.values) {
+  for (std::vector<double>& column : merge.per_address.values) {
     column.reserve(static_cast<std::size_t>(address_total));
   }
   for (std::size_t i = 0; i < shards.size(); ++i) {
-    std::ifstream is = open_in(paths[i].matrix);
-    std::vector<char> head(8);
-    if (!is.read(head.data(), 8)) {
-      throw std::runtime_error("snapshot builder: truncated matrix spill");
-    }
-    const std::uint64_t count = sf::read_u64(head.data());
-    TURTLE_CHECK_EQ(count, outputs[i].address_count);
-    std::vector<char> column(static_cast<std::size_t>(count) * 8);
-    for (std::size_t p = 0; p < per_address.values.size(); ++p) {
-      if (count > 0 &&
-          !is.read(column.data(), static_cast<std::streamsize>(column.size()))) {
-        throw std::runtime_error("snapshot builder: truncated matrix spill");
-      }
-      for (std::uint64_t a = 0; a < count; ++a) {
-        per_address.values[p].push_back(sf::read_f64(column.data() + std::size_t{a} * 8));
-      }
-    }
+    merge.add(outputs[i].block_count, outputs[i].total_samples, read_spill(paths[i].as_run),
+              read_spill(paths[i].columns));
   }
-  analysis::TimeoutMatrix matrix;
-  if (per_address.address_count() > 0) {
-    matrix = analysis::TimeoutMatrix::compute(per_address, config.snapshot.percentiles);
-  }
-
-  for (const ShardOutput& output : outputs) {
-    ledger.total_samples += output.total_samples;
-    ledger.block_count += output.block_count;
-  }
-  ledger.as_count = ases.size();
-
-  // Pass D, write: header from the final counts, then stream every
-  // section — block sections by concatenating shard spills in shard
-  // order (ranges ascend, so concatenation is the sorted order).
+  ledger.total_samples = merge.total_samples;
+  ledger.block_count = merge.block_count;
+  ledger.as_count = merge.ases.size();
   {
-    std::ofstream os{out_path, std::ios::binary | std::ios::trunc};
-    if (!os.is_open()) throw std::runtime_error("snapshot builder: cannot create " + out_path);
-    sf::Header header;
-    header.snapshot_version = config.snapshot.version;
-    header.total_samples = ledger.total_samples;
-    header.min_block_samples = config.snapshot.min_block_samples;
-    header.min_as_samples = config.snapshot.min_as_samples;
-    header.min_samples_per_address = config.snapshot.min_samples_per_address;
-    header.percentile_count = static_cast<std::uint32_t>(config.snapshot.percentiles.size());
-    header.block_count = static_cast<std::uint32_t>(ledger.block_count);
-    header.as_count = static_cast<std::uint32_t>(ledger.as_count);
-    header.matrix_rows = static_cast<std::uint32_t>(matrix.cells.size());
-    header.matrix_cols =
-        static_cast<std::uint32_t>(matrix.cells.empty() ? 0 : matrix.cells.front().size());
-    if (header.matrix_rows > 0 && header.matrix_cols > 0) header.flags |= sf::kFlagHasMatrix;
-
-    sf::Writer writer{os, header};
-    writer.begin_section(sf::kPercentiles);
-    for (const double p : config.snapshot.percentiles) writer.put_f64(p);
-    writer.begin_section(sf::kBlockKeys);
-    for (const SpillPaths& path : paths) concat_file(writer, path.keys);
-    writer.begin_section(sf::kBlockAsn);
-    for (const SpillPaths& path : paths) concat_file(writer, path.asns);
-    writer.begin_section(sf::kBlockAggs);
-    for (const SpillPaths& path : paths) concat_file(writer, path.aggs);
-    writer.begin_section(sf::kAsKeys);
-    for (const auto& [asn, aggregate] : ases) writer.put_u32(asn);
-    writer.begin_section(sf::kAsAggs);
-    for (const auto& [asn, aggregate] : ases) {
-      writer.put_aggregate(aggregate.samples, aggregate.quantiles);
-    }
-    writer.begin_section(sf::kMatrixRows);
-    for (const double r : matrix.row_percentiles) writer.put_f64(r);
-    writer.begin_section(sf::kMatrixCols);
-    for (const double c : matrix.col_percentiles) writer.put_f64(c);
-    writer.begin_section(sf::kMatrixCells);
-    for (const std::vector<double>& row : matrix.cells) {
-      for (const double cell : row) writer.put_f64(cell);
-    }
-    writer.finish();
+    std::ofstream os = open_out(out_path);
+    // Block sections stream from the shard spills in shard order: ranges
+    // ascend, so concatenation is the sorted order.
+    merge.write(os, [&paths](sf::Writer& writer, std::size_t i) {
+      for (const SpillPaths& path : paths) concat_file(writer, path.blocks[i]);
+    });
   }
 
   for (const SpillPaths& path : paths) remove_spills(path);

@@ -1,10 +1,7 @@
 // Bounded-memory streaming snapshot build: fold a RecordLog far larger
-// than RAM into a snapshot-v1 file.
-//
-// The in-memory OracleSnapshot::build holds the whole log, the grouped
-// dataset, and every aggregate at once — fine for a survey that fits,
-// fatal for the ROADMAP's millions-of-users scale. This builder is the
-// external-merge alternative:
+// than RAM into a snapshot-v1 file. This is the snapshot's only fold:
+// OracleSnapshot::build runs it in memory as a single shard (write_snapshot
+// below), so both produce the same bytes.
 //
 //   pass A  stream the log once (tolerant RecordReader, O(1) memory per
 //           record) counting records per /24 network, then cut the sorted
@@ -20,17 +17,17 @@
 //   pass C  fold shards in parallel on a util::ThreadPool: load the
 //           shard's spill (bounded by the budget), run the filtering
 //           pipeline, stable-sort reports by network (the format's
-//           canonical fold order, shared with OracleSnapshot::build),
-//           fold block aggregates, and spill sorted block keys/ASNs/
-//           frozen aggregates plus the AS-tier RTT run and the shard's
+//           canonical fold order), fold block aggregates, and spill the
+//           shard's run of the block sections (sorted keys, ASNs, frozen
+//           aggregates) plus the AS-tier RTT run and the shard's
 //           per-address percentile columns;
-//   pass D  merge sequentially in shard order: concatenate the block
-//           sections (shard ranges are ascending, so concatenation IS
-//           the global sorted order), replay the AS RTT runs into per-AS
-//           estimators (P2 states cannot be merged, but replaying the
-//           canonical sequence reproduces them exactly), assemble the
-//           Table 2 matrix, and stream everything through
-//           snapshot_format::Writer.
+//   pass D  merge sequentially in shard order: replay the AS RTT runs
+//           into per-AS estimators (P2 states cannot be merged, but
+//           replaying the canonical sequence reproduces them exactly),
+//           assemble the Table 2 matrix, fill the header, and stream
+//           every section through snapshot_format::Writer — the block
+//           sections by concatenating shard spills (shard ranges ascend,
+//           so concatenation IS the global sorted order).
 //
 // Peak memory is O(shard) + O(distinct ASes) + O(addresses × percentiles)
 // for the matrix columns — each a small fraction of the log (a record is
@@ -39,16 +36,18 @@
 //
 // Determinism: the shard plan ignores --jobs, shard folds share no state,
 // and the merge walks shards in index order — so the output file is
-// byte-identical across --jobs, and byte-identical to
-// OracleSnapshot::build(log).write() of the same log (CI `cmp`s both).
+// byte-identical across --jobs, and byte-identical to the one-shard fold
+// OracleSnapshot::build(log) serves from (CI `cmp`s both).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 
 #include "hosts/geodb.h"
 #include "obs/metrics.h"
+#include "probe/records.h"
 #include "serve/oracle_snapshot.h"
 
 namespace turtle::serve {
@@ -58,7 +57,7 @@ struct BuilderConfig {
   /// match what the serving side expects (defaults match).
   SnapshotConfig snapshot;
 
-  /// Enables the AS tier, exactly as in OracleSnapshot::build.
+  /// Enables the AS tier, as `geo` does in OracleSnapshot::build.
   const hosts::GeoDatabase* geo = nullptr;
 
   /// Worker threads for the per-shard fold pass. Affects wall clock and
@@ -100,5 +99,11 @@ struct BuildLedger {
 /// RecordLog::load).
 BuildLedger build_snapshot_file(const std::string& log_path, const std::string& out_path,
                                 const BuilderConfig& config = {});
+
+/// The same fold over an in-memory log, as one shard with no spill files:
+/// writes the snapshot-v1 image to the seekable `os`. The bytes equal
+/// build_snapshot_file's for the same log and settings, at any shard cut.
+void write_snapshot(const probe::RecordLog& log, const SnapshotConfig& config,
+                    const hosts::GeoDatabase* geo, std::ostream& os);
 
 }  // namespace turtle::serve

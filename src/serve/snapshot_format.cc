@@ -1,6 +1,7 @@
 #include "serve/snapshot_format.h"
 
 #include <bit>
+#include <cstdint>
 #include <cstring>
 #include <ostream>
 #include <stdexcept>
@@ -129,6 +130,8 @@ bool parse_header(const unsigned char* data, std::size_t size, Header& out, std:
 }
 
 bool View::open(const unsigned char* data, std::size_t size, View& out, std::string* error) {
+  TURTLE_CHECK_EQ(reinterpret_cast<std::uintptr_t>(data) % 8, 0u)
+      << "snapshot image must be 8-byte aligned";
   Header header;
   if (!parse_header(data, size, header, error)) return false;
   const std::uint64_t crc = util::crc64(data + kHeaderBytes, size - kHeaderBytes);
@@ -138,14 +141,19 @@ bool View::open(const unsigned char* data, std::size_t size, View& out, std::str
   return true;
 }
 
+void View::write(std::ostream& os) const {
+  TURTLE_DCHECK(data_ != nullptr);
+  os.write(reinterpret_cast<const char*>(data_), static_cast<std::streamsize>(header_.file_bytes));
+}
+
 const unsigned char* View::section(Section s) const {
   TURTLE_DCHECK(data_ != nullptr);
   return data_ + header_.section_offsets[s];
 }
 
 // The casts below are the format's single audited deserialization point
-// (turtlint rule D6): offsets are 8-byte aligned by plan_layout and the
-// mapping is page-aligned, so every cast target is properly aligned.
+// (turtlint rule D6): offsets are 8-byte aligned by plan_layout and
+// View::open checks the image itself is, so every cast target is aligned.
 std::span<const double> View::percentiles() const {
   return {reinterpret_cast<const double*>(section(kPercentiles)), header_.percentile_count};
 }

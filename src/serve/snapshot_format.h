@@ -22,8 +22,8 @@
 // core::P2Quantile marker states of 128 bytes each (u64 count + 5 heights
 // + 5 positions + 5 desired positions, f64). The quantile's q value and
 // marker increments are NOT stored: they are derived from the percentiles
-// section on restore, which is what makes a mapped lookup bitwise equal
-// to the in-memory one.
+// section on restore, which is what makes a restored estimator's value()
+// bitwise equal to the one the builder froze.
 //
 // This file is the single audited deserialization point: turtlint rule D6
 // forbids reinterpret_cast reads of on-disk integers anywhere else under
@@ -118,10 +118,16 @@ class View {
   /// with a human-readable `error`; `out` is untouched. O(file bytes) for
   /// the CRC — the price of never serving a torn page, and still orders
   /// of magnitude cheaper than a rebuild (the bench records both).
+  /// `data` must be 8-byte aligned (a mapping or an owned heap image):
+  /// the section accessors read it in place. A misaligned pointer is a
+  /// caller bug, not bad input, so it fails a TURTLE_CHECK.
   [[nodiscard]] static bool open(const unsigned char* data, std::size_t size, View& out,
                                  std::string* error);
 
   [[nodiscard]] const Header& header() const { return header_; }
+
+  /// Writes the validated image, byte for byte.
+  void write(std::ostream& os) const;
 
   [[nodiscard]] std::span<const double> percentiles() const;
   [[nodiscard]] std::span<const std::uint32_t> block_keys() const;

@@ -1,6 +1,7 @@
 // turtle::serve — snapshot tiering and recommendation parity, the Oracle's
 // answers and counters, server accounting/shedding/caching/hot-swap/
 // crash-recovery, and load-generator determinism across shard counts.
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -10,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "analysis/percentiles.h"
+#include "analysis/pipeline.h"
+#include "core/p2_quantile.h"
 #include "core/recommendations.h"
 #include "hosts/asdb.h"
 #include "hosts/geodb.h"
@@ -122,23 +125,110 @@ TEST(OracleSnapshot, GlobalFallbackMatchesRecommendTimeoutEverywhere) {
 
 /// Block A has plenty of samples; block B (same AS) too few for block
 /// scope but the AS pool qualifies.
-OracleSnapshot as_bridged_snapshot() {
+struct AsBridgedSurvey {
+  static hosts::AsCatalog make_catalog() {
+    hosts::AsTraits traits;
+    traits.asn = 65001;
+    traits.owner = "Test AS";
+    return hosts::AsCatalog{{traits}};
+  }
+
+  AsBridgedSurvey() {
+    const probe::RecordLog sparse_log = make_log({kBlockB}, 1, 8);
+    for (const auto& record : sparse_log.records()) log.append(record);
+    geo.add_block(kBlockA, 0);
+    geo.add_block(kBlockB, 0);
+    config.min_block_samples = 25;
+    config.min_as_samples = 40;
+  }
+
   probe::RecordLog log = make_log({kBlockA}, 4, 10);  // 40 samples
-  const probe::RecordLog sparse_log = make_log({kBlockB}, 1, 8);
-  for (const auto& record : sparse_log.records()) log.append(record);
-
-  hosts::AsTraits traits;
-  traits.asn = 65001;
-  traits.owner = "Test AS";
-  const hosts::AsCatalog catalog{{traits}};
+  hosts::AsCatalog catalog = make_catalog();
   hosts::GeoDatabase geo{&catalog};
-  geo.add_block(kBlockA, 0);
-  geo.add_block(kBlockB, 0);
+  serve::SnapshotConfig config = small_config();
+};
 
-  auto config = small_config();
-  config.min_block_samples = 25;
-  config.min_as_samples = 40;
-  return OracleSnapshot::build(log, config, &geo);
+OracleSnapshot as_bridged_snapshot() {
+  const AsBridgedSurvey survey;
+  return OracleSnapshot::build(survey.log, survey.config, &survey.geo);
+}
+
+TEST(OracleSnapshot, BlockAndAsTiersMatchAnIndependentFold) {
+  const AsBridgedSurvey survey;
+  const serve::SnapshotConfig& config = survey.config;
+  const OracleSnapshot snapshot = OracleSnapshot::build(survey.log, config, &survey.geo);
+
+  // Reference fold, written out here rather than taken from the builder:
+  // the filtering pipeline, reports stable-sorted by /24, and one P2
+  // estimator per tracked percentile for every block and every AS.
+  struct Pool {
+    std::vector<core::P2Quantile> quantiles;
+    std::uint64_t samples = 0;
+  };
+  const auto fresh_pool = [&config] {
+    Pool pool;
+    for (const double p : config.percentiles) pool.quantiles.emplace_back(p / 100.0);
+    return pool;
+  };
+  auto dataset = analysis::SurveyDataset::from_log(survey.log);
+  analysis::PipelineConfig pipeline_config;
+  const auto analyzed = analysis::run_pipeline(dataset, pipeline_config);
+  std::vector<const analysis::AddressReport*> order;
+  for (const analysis::AddressReport& report : analyzed.addresses) order.push_back(&report);
+  std::stable_sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
+    return net::Prefix24::containing(a->address).network() <
+           net::Prefix24::containing(b->address).network();
+  });
+  std::map<std::uint32_t, Pool> blocks;
+  std::map<std::uint32_t, Pool> ases;
+  std::map<std::uint32_t, std::uint32_t> block_asn;
+  for (const analysis::AddressReport* report : order) {
+    const std::uint32_t network = net::Prefix24::containing(report->address).network();
+    Pool& block = blocks.try_emplace(network, fresh_pool()).first->second;
+    Pool* as_pool = nullptr;
+    if (const hosts::AsTraits* traits = survey.geo.lookup(report->address); traits != nullptr) {
+      block_asn.emplace(network, traits->asn);
+      as_pool = &ases.try_emplace(traits->asn, fresh_pool()).first->second;
+    }
+    for (const double rtt_s : report->rtts_s) {
+      for (core::P2Quantile& quantile : block.quantiles) quantile.add(rtt_s);
+      ++block.samples;
+      if (as_pool == nullptr) continue;
+      for (core::P2Quantile& quantile : as_pool->quantiles) quantile.add(rtt_s);
+      ++as_pool->samples;
+    }
+  }
+  ASSERT_EQ(snapshot.block_count(), blocks.size());
+  ASSERT_EQ(snapshot.as_count(), ases.size());
+
+  // Every block- and AS-scope answer is that fold's estimate, bitwise.
+  std::map<LookupScope, int> answered;
+  for (const auto& [network, block] : blocks) {
+    const net::Ipv4Address addr = net::Prefix24::from_network(network).address(1);
+    EXPECT_EQ(snapshot.block_samples(addr), block.samples);
+    const Pool& as_pool = ases.at(block_asn.at(network));
+    for (std::size_t p = 0; p < config.percentiles.size(); ++p) {
+      const double coverage = config.percentiles[p];
+      const LookupResult walked = snapshot.lookup(addr, 50, coverage);
+      const LookupResult as_only = snapshot.lookup(addr, 50, coverage, LookupScope::kAs);
+      ASSERT_EQ(as_only.scope, LookupScope::kAs);
+      EXPECT_EQ(as_only.samples, as_pool.samples);
+      EXPECT_EQ(as_only.timeout, SimTime::from_seconds(as_pool.quantiles[p].value()));
+      if (block.samples >= config.min_block_samples) {
+        ASSERT_EQ(walked.scope, LookupScope::kBlock);
+        EXPECT_EQ(walked.samples, block.samples);
+        EXPECT_EQ(walked.timeout, SimTime::from_seconds(block.quantiles[p].value()))
+            << "block " << network << " percentile " << coverage;
+      } else {
+        ASSERT_EQ(walked.scope, LookupScope::kAs);
+        EXPECT_EQ(walked.timeout, as_only.timeout);
+      }
+      ++answered[walked.scope];
+    }
+  }
+  // Both tiers were exercised, or the comparison above proves nothing.
+  EXPECT_GT(answered[LookupScope::kBlock], 0);
+  EXPECT_GT(answered[LookupScope::kAs], 0);
 }
 
 TEST(OracleSnapshot, AsTierBridgesSparseBlocks) {

@@ -3,9 +3,9 @@
 
 The repo's central contract is that every run is byte-identical across
 --jobs: Table 1/Table 2 stay exact while the system scales. That contract
-used to be guarded only at runtime (CI `cmp` gates) and by regex rules in
-scripts/lint.sh. turtlint moves it to per-commit static enforcement as
-named, suppressible rules:
+used to be guarded only at runtime (CI `cmp` gates) and by regex greps.
+turtlint enforces it per commit as named, suppressible rules, together
+with the repo's header conventions; it is the repo's one linter:
 
   D1  no iteration over std::unordered_map/set whose loop body reaches a
       serialization/output sink (JSON dump, RecordLog save, bench report)
@@ -15,7 +15,7 @@ named, suppressible rules:
       gettimeofday/clock_gettime/timespec_get) in src/ outside the
       sanctioned wall.* measurement site (util/thread_pool, whose task
       timings the ShardRunner exports under "wall.*" names the
-      deterministic dump excludes). Subsumes the old lint.sh rule 5.
+      deterministic dump excludes).
   D3  PRNG discipline: util::Prng is never constructed from a literal seed
       in src/ (seeds flow from WorldOptions or fork() chains), and a
       fork() result must not escape by reference into more than one
@@ -25,19 +25,24 @@ named, suppressible rules:
       inside one makes release behavior diverge from debug.
   D5  no floating-point `float` in src/analysis/ — RTT arithmetic stays in
       double (24-bit mantissas visibly quantize the percentile tail).
-      Subsumes the old lint.sh rule 4 with a token-accurate check.
   D6  no reinterpret_cast in src/serve/ outside snapshot_format.cc — the
       snapshot-v1 on-disk bytes are decoded at exactly one audited site
       (whose casts sit behind the checksum/layout validation in
       parse_header); everything else uses its read_*/append_* helpers and
       typed section views, so a format change cannot leave a stale
       hand-rolled decoder behind.
+  D7  no raw rand()/srand()/time() calls in src/: randomness comes from
+      util/prng and timestamps from util/sim_time, or a replayed run
+      stops being bit-identical.
+  H1  every header under src/, bench/ and tests/ has `#pragma once`.
+  H2  no namespace-scope `using namespace` in those headers: it leaks
+      into every includer (function-local ones are fine).
 
 Engine: a self-contained C++ lexer plus structural passes (declaration
 tracking, brace matching, loop-body analysis). The translation-unit list
 comes from compile_commands.json when a build directory is given (-p),
 falling back to a source-tree glob so the tool also runs pre-configure
-(scripts/lint.sh delegates rules D2/D5 here before any build exists). The
+(CI's lint job runs it before any build exists). The
 rule interface is frontend-agnostic: the planned libclang (clang.cindex)
 backend drops in behind the same Finding/Rule types once the toolchain
 ships a libclang; the container's GCC-only image is why the shipping
@@ -99,6 +104,7 @@ class LexedFile:
     path: str              # root-relative, forward slashes
     tokens: list
     suppressions: list     # [Suppression]
+    directives: list = field(default_factory=list)  # [(line, first text line)]
 
     def allow(self, rule: str, line: int) -> bool:
         """Consumes a matching suppression for `rule` at `line`, if any."""
@@ -112,6 +118,7 @@ class LexedFile:
 def lex(path: str, text: str) -> LexedFile:
     tokens = []
     suppressions = []
+    directives = []
     line = 1
     i = 0
     n = len(text)
@@ -154,6 +161,9 @@ def lex(path: str, text: str) -> LexedFile:
             # Preprocessor logical line (with continuations): rules operate
             # on code, not directives; macro *definitions* are the one
             # construct the lexer skips.
+            first_end = text.find("\n", i)
+            directives.append(
+                (line, text[i:n if first_end == -1 else first_end].strip()))
             while i < n:
                 end = text.find("\n", i)
                 if end == -1:
@@ -224,7 +234,7 @@ def lex(path: str, text: str) -> LexedFile:
             i += 1
         line_has_code = True
 
-    return LexedFile(path, tokens, suppressions)
+    return LexedFile(path, tokens, suppressions, directives)
 
 
 # --------------------------------------------------------------------------
@@ -632,7 +642,7 @@ class RuleD4(Rule):
 
 
 class RuleD5(Rule):
-    """float in analysis code (retires lint.sh rule 4, token-accurate)."""
+    """float in analysis code (token-accurate)."""
 
     name = "D5"
     doc = ("no `float` in src/analysis/: RTT math stays in double; "
@@ -693,7 +703,124 @@ class RuleD6(Rule):
         return findings
 
 
-ALL_RULES = [RuleD1(), RuleD2(), RuleD3(), RuleD4(), RuleD5(), RuleD6()]
+class RuleD7(Rule):
+    """Raw rand()/srand()/time() calls in simulation code."""
+
+    name = "D7"
+    doc = ("no raw rand()/srand()/time() calls in src/: randomness from "
+           "util/prng, timestamps from util/sim_time")
+
+    CALLS = {"rand", "srand", "time"}
+    # Keywords that may directly precede a call; any other identifier
+    # there is a return type, so the name is being declared, not called.
+    EXPRESSION_KEYWORDS = {"return", "throw", "co_return", "co_yield",
+                           "else", "do", "case"}
+
+    def applies(self, path: str) -> bool:
+        return under(path, "src")
+
+    def check(self, ctx: FileContext) -> list:
+        findings = []
+        tokens = ctx.lexed.tokens
+        for i, tok in enumerate(tokens):
+            if (tok.kind != "id" or tok.value not in self.CALLS or
+                    i + 1 >= len(tokens) or tokens[i + 1].value != "("):
+                continue
+            prev = tokens[i - 1] if i > 0 else None
+            if prev is not None and prev.value in (".", "->"):
+                continue  # a member named time(), not the C library's
+            if (prev is not None and prev.kind == "id" and
+                    prev.value not in self.EXPRESSION_KEYWORDS):
+                continue  # declares a function named time()
+            if (prev is not None and prev.value == "::" and i >= 2 and
+                    tokens[i - 2].kind == "id" and tokens[i - 2].value != "std"):
+                continue  # qualified by some other namespace or class
+            if ctx.lexed.allow(self.name, tok.line):
+                continue
+            findings.append(Finding(
+                ctx.lexed.path, tok.line, self.name,
+                f"raw {tok.value}() call: draw randomness from util/prng "
+                "(Prng) and timestamps from util/sim_time (SimTime) so runs "
+                "replay deterministically"))
+        return findings
+
+
+HEADER_EXTS = (".h", ".hpp")
+
+
+def is_header(path: str) -> bool:
+    return path.endswith(HEADER_EXTS) and under(path, "src", "bench", "tests")
+
+
+class RuleH1(Rule):
+    """Headers without #pragma once."""
+
+    name = "H1"
+    doc = "every header under src/, bench/ and tests/ has `#pragma once`"
+
+    PRAGMA_ONCE = re.compile(r"#\s*pragma\s+once\b")
+
+    def applies(self, path: str) -> bool:
+        return is_header(path)
+
+    def check(self, ctx: FileContext) -> list:
+        if any(self.PRAGMA_ONCE.match(text)
+               for _line, text in ctx.lexed.directives):
+            return []
+        if ctx.lexed.allow(self.name, 1):
+            return []
+        return [Finding(ctx.lexed.path, 1, self.name,
+                        "header lacks `#pragma once`: a second include "
+                        "redefines everything in it")]
+
+
+class RuleH2(Rule):
+    """Namespace-scope using-directives in headers."""
+
+    name = "H2"
+    doc = ("no namespace-scope `using namespace` in headers: it leaks into "
+           "every includer")
+
+    def applies(self, path: str) -> bool:
+        return is_header(path)
+
+    @staticmethod
+    def opens_namespace(tokens, brace: int) -> bool:
+        """True when the `{` at tokens[brace] opens a namespace body or an
+        extern "C" block (both keep the enclosing scope a namespace)."""
+        j = brace - 1
+        while j >= 0 and (tokens[j].kind == "id" and
+                          tokens[j].value != "namespace" or
+                          tokens[j].value == "::"):
+            j -= 1
+        if j >= 0 and tokens[j].value == "namespace":
+            return True
+        return (brace >= 2 and tokens[brace - 1].kind == "str" and
+                tokens[brace - 2].value == "extern")
+
+    def check(self, ctx: FileContext) -> list:
+        findings = []
+        tokens = ctx.lexed.tokens
+        scopes = []  # True per open brace that opens a namespace body
+        for i, tok in enumerate(tokens):
+            if tok.value == "{":
+                scopes.append(self.opens_namespace(tokens, i))
+            elif tok.value == "}":
+                if scopes:
+                    scopes.pop()
+            elif (tok.value == "using" and i + 1 < len(tokens) and
+                  tokens[i + 1].value == "namespace" and all(scopes)):
+                if ctx.lexed.allow(self.name, tok.line):
+                    continue
+                findings.append(Finding(
+                    ctx.lexed.path, tok.line, self.name,
+                    "namespace-scope `using namespace` in a header leaks "
+                    "into every includer"))
+        return findings
+
+
+ALL_RULES = [RuleD1(), RuleD2(), RuleD3(), RuleD4(), RuleD5(), RuleD6(),
+             RuleD7(), RuleH1(), RuleH2()]
 
 
 # --------------------------------------------------------------------------

@@ -28,6 +28,9 @@ CLEAN_PATHS = [
     "src/daemon/wall_clock.cc",
     "src/core/clean_d3.cc",
     "src/core/clean_d4.cc",
+    "src/core/clean_d7.cc",
+    "src/core/clean_h1.h",
+    "src/core/clean_h2.h",
     "src/analysis/clean_d5.cc",
     "src/serve/clean_d6.cc",
     "src/serve/snapshot_format.cc",
