@@ -48,7 +48,6 @@ int main(int argc, char** argv) {
               "per-address aggregation shows %.1f s is needed for the same coverage —\n"
               "# the chatty-host bias the paper's Section 3.2 design choice avoids\n",
               pooled[4], matrix.cell(4, 4));
-  report.add_events(world->sim.events_processed());
   report.add_probes(prober.probes_sent());
   return 0;
 }

@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
     std::uint64_t cellular_down_rounds = 0;
   };
   std::vector<Row> rows;
-  std::uint64_t total_events = 0;
   std::uint64_t total_probes = 0;
 
   const auto run = [&](const char* label, SimTime timeout, bool listen) {
@@ -70,7 +69,6 @@ int main(int argc, char** argv) {
     monitor.start(std::move(monitored));
     world->sim.run();
 
-    total_events += world->sim.events_processed();
     total_probes += census.probes_sent() + monitor.stats().probes_sent;
     Row row{label, monitor.stats(), 0, 0};
     for (const auto& outcome : monitor.outcomes()) {
@@ -109,7 +107,6 @@ int main(int argc, char** argv) {
          std::to_string(s.late_saves)});
   }
   table.print(std::cout);
-  report.add_events(total_events);
   report.add_probes(total_probes);
   return 0;
 }

@@ -70,7 +70,6 @@ int main(int argc, char** argv) {
               "0.13%% false negatives; expect the same shape: detection collapses when\n"
               "# the EWMA cannot reach the threshold (alpha too small / threshold too "
               "high) and precision erodes as the filter gets hair-triggered\n");
-  report.add_events(world->sim.events_processed());
   report.add_probes(prober.probes_sent());
   return 0;
 }

@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
     core::MultiVantageMonitor::Stats stats;
     std::uint64_t cellular_rounds = 0;
     std::uint64_t cellular_false = 0;
-    std::uint64_t sim_events = 0;
   };
 
   auto shard_options = bench::shard_options_from_flags(flags, options);
@@ -71,7 +70,7 @@ int main(int argc, char** argv) {
     monitor.start(world->population->responsive_addresses());
     world->sim.run();
 
-    Row row{config_spec.label, monitor.stats(), 0, 0, world->sim.events_processed()};
+    Row row{config_spec.label, monitor.stats(), 0, 0};
     for (const auto& outcome : monitor.outcomes()) {
       const auto* host = world->population->host_at(outcome.target);
       if (host == nullptr || host->profile().type != hosts::HostType::kCellular) continue;
@@ -87,7 +86,6 @@ int main(int argc, char** argv) {
   util::TextTable table({"configuration", "target-rounds", "false unresponsive", "false %",
                          "cellular false %", "probes", "late responses"});
   for (const auto& row : rows) {
-    report.add_events(row.sim_events);
     report.add_probes(row.stats.probes_sent);
     const auto& s = row.stats;
     table.add_row(

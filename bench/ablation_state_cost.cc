@@ -49,7 +49,6 @@ int main(int argc, char** argv) {
   std::printf("\n# the paper's conclusion in one row: 60 s of listening costs %.0f KiB at "
               "this rate and covers 98%%+ of pings to 98%% of addresses\n",
               core::prober_state_cost(probe_rate, SimTime::seconds(60)).bytes / 1024.0);
-  report.add_events(world->sim.events_processed());
   report.add_probes(prober.probes_sent());
   return 0;
 }

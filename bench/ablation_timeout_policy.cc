@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
     std::uint64_t cellular_false = 0;
   };
   std::vector<PolicyRun> runs;
-  std::uint64_t total_events = 0;
   std::uint64_t total_probes = 0;
   const int max_probes = static_cast<int>(flags.get_int("max-probes", 3));
 
@@ -44,7 +43,6 @@ int main(int argc, char** argv) {
     detector.start(world->population->responsive_addresses());
     world->sim.run();
 
-    total_events += world->sim.events_processed();
     total_probes += detector.stats().probes_sent;
     PolicyRun run{policy.name(), detector.stats(), 0, 0};
     // Cellular-only breakdown via population ground truth: the wake-up
@@ -105,7 +103,6 @@ int main(int argc, char** argv) {
                                         ll.outages_declared
                                   : 0,
               static_cast<unsigned long long>(ll.late_saves));
-  report.add_events(total_events);
   report.add_probes(total_probes);
   return 0;
 }

@@ -13,16 +13,15 @@ namespace turtle::bench {
 struct AsTableExperiment {
   std::unique_ptr<World> world;
   std::vector<analysis::ScanAddressRtts> scans;
-  std::uint64_t sim_events = 0;  ///< events processed across the shared world
-  std::uint64_t probes = 0;      ///< Zmap probes across all scans
+  std::uint64_t probes = 0;  ///< Zmap probes across all scans
 
-  /// `report`, when given, receives the world's metrics/trace directly
-  /// (wire_obs), so --metrics-out works on every AS-table bench.
-  static AsTableExperiment run(const util::Flags& flags, int default_blocks = 1200,
-                               JsonReport* report = nullptr) {
+  /// `report` receives the world's metrics/trace directly (wire_obs), so
+  /// --metrics-out works on every AS-table bench.
+  static AsTableExperiment run(const util::Flags& flags, int default_blocks,
+                               JsonReport& report) {
     AsTableExperiment exp;
     auto options = world_options_from_flags(flags, default_blocks);
-    if (report != nullptr) wire_obs(options, *report);
+    wire_obs(options, report);
     exp.world = make_world(options);
     const int scan_count = static_cast<int>(flags.get_int("scans", 3));
     const auto runs = run_zmap_scans(*exp.world, scan_count);
@@ -30,7 +29,6 @@ struct AsTableExperiment {
       exp.probes += run.probes;
       exp.scans.push_back(analysis::ScanAddressRtts::from_responses(run.responses));
     }
-    exp.sim_events = exp.world->sim.events_processed();
     return exp;
   }
 };

@@ -61,7 +61,6 @@ int main(int argc, char** argv) {
               pap.values[6].empty() ? 0.0
                                     : *std::max_element(pap.values[6].begin(),
                                                         pap.values[6].end()));
-  report.add_events(world->sim.events_processed());
   report.add_probes(prober.probes_sent());
   return 0;
 }

@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\n# mass on broadcast-like octets: %.1f%% (paper: overwhelmingly dominant)\n",
               hist.total() ? 100.0 * hist.broadcast_like() / hist.total() : 0.0);
-  report.add_events(world->sim.events_processed());
   report.add_probes(runs[0].probes);
   return 0;
 }

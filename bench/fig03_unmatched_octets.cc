@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
     std::printf("#   octet %d: %llu\n", ranked[static_cast<std::size_t>(i)].second,
                 static_cast<unsigned long long>(ranked[static_cast<std::size_t>(i)].first));
   }
-  report.add_events(world->sim.events_processed());
   report.add_probes(prober.probes_sent());
   return 0;
 }

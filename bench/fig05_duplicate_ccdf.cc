@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
 
   bench::print_cdf(std::cout, "CCDF of max responses per echo request (addresses > 2)",
                    stats.ccdf(60), 60, csv);
-  report.add_events(world->sim.events_processed());
   report.add_probes(prober.probes_sent());
   return 0;
 }

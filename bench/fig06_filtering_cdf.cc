@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(bump_before),
               static_cast<unsigned long long>(control_before),
               static_cast<unsigned long long>(bump_after));
-  report.add_events(world->sim.events_processed());
   report.add_probes(prober.probes_sent());
   return 0;
 }

@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
   util::TextTable summary(
       {"scan", "responding addrs", "median (s)", "p95 (s)", ">1s %", ">75s %", "p99.9 (s)"});
   for (const auto& run : runs) {
-    report.add_events(run.sim_events);
     report.add_probes(run.probes);
     const auto scan = analysis::ScanAddressRtts::from_responses(run.responses);
     std::vector<double> rtts;

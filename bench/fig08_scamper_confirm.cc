@@ -31,7 +31,6 @@ struct StreamResult {
 
 struct ShardResult {
   std::vector<StreamResult> streams;  // in candidate order within the chunk
-  std::uint64_t sim_events = 0;
   std::uint64_t probes = 0;
 };
 
@@ -52,7 +51,6 @@ int main(int argc, char** argv) {
   bench::wire_obs(options, report);
   auto world = bench::make_world(options);
   const auto prober = bench::run_survey(*world, survey_rounds);
-  report.add_events(world->sim.events_processed());
   report.add_probes(prober.probes_sent());
   const auto result = bench::analyze_survey(*world, prober);
 
@@ -89,8 +87,7 @@ int main(int argc, char** argv) {
         shard_world_options.trace = ctx.trace;
         auto shard_world = bench::make_world(shard_world_options);
         probe::ScamperProber scamper{shard_world->sim, *shard_world->net,
-                                     net::Ipv4Address::from_octets(198, 51, 100, 9),
-                                     shard_world->registry, shard_world->trace};
+                                     net::Ipv4Address::from_octets(198, 51, 100, 9)};
         const SimTime start = SimTime::minutes(5);
         for (std::size_t i = lo; i < hi; ++i) {
           scamper.ping(candidates[i], pings, SimTime::seconds(10),
@@ -99,7 +96,6 @@ int main(int argc, char** argv) {
         shard_world->sim.run();
 
         ShardResult shard;
-        shard.sim_events = shard_world->sim.events_processed();
         shard.probes = scamper.probes_sent();
         for (std::size_t i = lo; i < hi; ++i) {
           StreamResult stream;
@@ -116,7 +112,6 @@ int main(int argc, char** argv) {
   std::vector<double> p99s;
   std::size_t over_100_at_p99 = 0;
   for (const auto& shard : shard_results) {
-    report.add_events(shard.sim_events);
     report.add_probes(shard.probes);
     for (const auto& stream : shard.streams) {
       if (!stream.responded) continue;

@@ -49,7 +49,6 @@ int main(int argc, char** argv) {
   struct YearResult {
     std::vector<std::string> row;
     double p99 = -1.0;  // < 0: excluded (broken vantage)
-    std::uint64_t sim_events = 0;
     std::uint64_t probes = 0;
   };
 
@@ -89,7 +88,6 @@ int main(int argc, char** argv) {
         const double rate = prober.match_rate();
 
         YearResult result;
-        result.sim_events = world->sim.events_processed();
         result.probes = prober.probes_sent();
         result.row = {"IT" + std::to_string(year), vantages[y % 4].letter,
                       util::format_percent(rate)};
@@ -118,7 +116,6 @@ int main(int argc, char** argv) {
   for (const auto& result : results) {
     table.add_row(result.row);
     if (result.p99 >= 0) p99_by_year.push_back(result.p99);
-    report.add_events(result.sim_events);
     report.add_probes(result.probes);
   }
 

@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
               targets.size());
 
   probe::ScamperProber scamper{world->sim, *world->net,
-                               net::Ipv4Address::from_octets(198, 51, 100, 10),
-                               world->registry, world->trace};
+                               net::Ipv4Address::from_octets(198, 51, 100, 10)};
   SimTime t = world->sim.now() + SimTime::minutes(5);
   for (int rep = 0; rep < repeats; ++rep) {
     for (const auto proto : {probe::ProbeProtocol::kIcmp, probe::ProbeProtocol::kUdp,
@@ -108,7 +107,6 @@ int main(int argc, char** argv) {
   std::printf("\n# TCP responses excluded as firewall RSTs (uniform TTL, ~200 ms): %zu "
               "addresses\n",
               firewall_mode[probe::ProbeProtocol::kTcpAck]);
-  report.add_events(world->sim.events_processed());
   report.add_probes(prober.probes_sent() + scamper.probes_sent());
   return 0;
 }

@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
   std::printf("\n# minimum satellite 1st percentile: %.3f s (paper: > 0.5 s, ~2x the "
               "theoretical 0.25 s minimum)\n",
               min_p1);
-  report.add_events(world->sim.events_processed());
   report.add_probes(prober.probes_sent());
   return 0;
 }

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   const auto flags = util::Flags::parse(argc, argv);
   bench::JsonReport report{flags, "fig12_first_ping_diff"};
   const auto csv = bench::csv_from_flags(flags);
-  const auto exp = bench::FirstPingExperiment::run(flags, &report);
+  const auto exp = bench::FirstPingExperiment::run(flags, report);
   exp.print_header("fig12_first_ping_diff");
 
   bench::print_cdf(std::cout, "CDF of RTT_1 - RTT_2 (s), all classified",
@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
                     .c_str(),
                 static_cast<unsigned long long>(bin.total));
   }
-  report.add_events(exp.sim_events);
   report.add_probes(exp.probes);
   return 0;
 }

@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   const auto flags = util::Flags::parse(argc, argv);
   bench::JsonReport report{flags, "fig13_wakeup_duration"};
   const auto csv = bench::csv_from_flags(flags);
-  const auto exp = bench::FirstPingExperiment::run(flags, &report);
+  const auto exp = bench::FirstPingExperiment::run(flags, report);
   exp.print_header("fig13_wakeup_duration");
 
   auto durations = exp.summary.wakeup_durations();
@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
     std::printf("# fraction above 8.5 s: %s%% (paper: ~2%%)\n",
                 util::format_percent(util::fraction_above(durations, 8.5)).c_str());
   }
-  report.add_events(exp.sim_events);
   report.add_probes(exp.probes);
   return 0;
 }

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   const auto flags = util::Flags::parse(argc, argv);
   bench::JsonReport report{flags, "fig14_prefix_clustering"};
   const auto csv = bench::csv_from_flags(flags);
-  const auto exp = bench::FirstPingExperiment::run(flags, &report);
+  const auto exp = bench::FirstPingExperiment::run(flags, report);
   exp.print_header("fig14_prefix_clustering");
 
   const auto fractions = exp.summary.prefix_drop_fractions();
@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
     std::printf("\n# prefixes where most classified addresses show the drop: %.0f%%\n",
                 100.0 * static_cast<double>(majority) / fractions.size());
   }
-  report.add_events(exp.sim_events);
   report.add_probes(exp.probes);
   return 0;
 }

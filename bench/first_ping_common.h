@@ -20,14 +20,13 @@ struct FirstPingExperiment {
   analysis::FirstPingSummary summary;
   std::size_t selected = 0;   ///< high-median addresses from the survey
   std::size_t screened = 0;   ///< answered the two-ping screen
-  std::uint64_t sim_events = 0;  ///< events processed by the shared world
-  std::uint64_t probes = 0;      ///< survey + screen + stream probes
+  std::uint64_t probes = 0;   ///< survey + screen + stream probes
 
-  /// `report`, when given, receives the world's metrics/trace directly
-  /// (wire_obs), so --metrics-out works on every first-ping bench.
-  static FirstPingExperiment run(const util::Flags& flags, JsonReport* report = nullptr) {
+  /// `report` receives the world's metrics/trace directly (wire_obs), so
+  /// --metrics-out works on every first-ping bench.
+  static FirstPingExperiment run(const util::Flags& flags, JsonReport& report) {
     auto options = world_options_from_flags(flags, 400);
-    if (report != nullptr) wire_obs(options, *report);
+    wire_obs(options, report);
     auto world = make_world(options);
     const int survey_rounds = static_cast<int>(flags.get_int("rounds", 30));
 
@@ -44,8 +43,7 @@ struct FirstPingExperiment {
     exp.selected = candidates.size();
 
     probe::ScamperProber scamper{world->sim, *world->net,
-                                 net::Ipv4Address::from_octets(198, 51, 100, 11),
-                                 world->registry, world->trace};
+                                 net::Ipv4Address::from_octets(198, 51, 100, 11)};
     const SimTime screen_start = world->sim.now() + SimTime::minutes(2);
     for (const auto addr : candidates) {
       scamper.ping(addr, 2, SimTime::seconds(5), probe::ProbeProtocol::kIcmp, screen_start);
@@ -82,7 +80,6 @@ struct FirstPingExperiment {
       observations.push_back(analysis::classify_first_ping(addr, stream));
     }
     exp.summary = analysis::summarize_first_ping(observations);
-    exp.sim_events = world->sim.events_processed();
     exp.probes = prober.probes_sent() + scamper.probes_sent();
     return exp;
   }

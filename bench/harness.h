@@ -2,10 +2,14 @@
 //
 // Every bench binary builds the same kind of world: a simulator, a network
 // fabric, the synthetic AS catalog, and a host population — then attaches
-// whichever prober its experiment needs. Flags let each binary scale the
-// world up or down without recompiling.
+// whichever prober its experiment needs. The simulator is the world's one
+// metrics home: everything built on it counts into its registry. Flags let
+// each binary scale the world up or down without recompiling.
 #pragma once
 
+#include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -60,16 +64,14 @@ class PhaseRss {
 };
 
 struct World {
-  /// Observability sinks. `registry` is never null: it points at the
-  /// external registry passed via WorldOptions (a JsonReport's merged
-  /// registry, or a shard's private one) or at `owned_registry` as a
-  /// fallback. `trace` may be null (tracing off). Declared before `sim`
-  /// so the simulator can bind its metrics during construction.
-  std::unique_ptr<obs::Registry> owned_registry;
-  obs::Registry* registry;
-  obs::TraceSink* trace;
-
+  /// The world's clock and metrics home: the network, the population's
+  /// probers and the fault injector all count into sim.registry() and
+  /// trace into sim.trace().
   sim::Simulator sim;
+  /// `&sim.registry()`: the registry passed via WorldOptions (a
+  /// JsonReport's merged registry, or a shard's private one), or the
+  /// simulator's own when none was. Never null.
+  obs::Registry* registry;
   std::unique_ptr<sim::Network> net;
   std::unique_ptr<hosts::HostContext> ctx;
   hosts::AsCatalog catalog;
@@ -86,11 +88,8 @@ struct World {
 
   explicit World(hosts::AsCatalog cat, obs::Registry* external_registry = nullptr,
                  obs::TraceSink* external_trace = nullptr)
-      : owned_registry{external_registry != nullptr ? nullptr
-                                                    : std::make_unique<obs::Registry>()},
-        registry{external_registry != nullptr ? external_registry : owned_registry.get()},
-        trace{external_trace},
-        sim{registry, trace},
+      : sim{external_registry, external_trace},
+        registry{&sim.registry()},
         catalog{std::move(cat)} {}
 };
 
@@ -101,10 +100,10 @@ struct WorldOptions {
   double severity_scale = 1.0;
   hosts::PopulationConfig population;  ///< num_blocks/severity overwritten
   sim::Network::Config network;
-  /// External observability sinks for this world. When `registry` is null
-  /// the World owns a private one (accessible as world->registry); `trace`
-  /// null simply disables span recording. Point these at a JsonReport's
-  /// sinks (wire_obs) or a ShardContext's.
+  /// External observability sinks for the world's simulator. When
+  /// `registry` is null the simulator owns a private one (accessible as
+  /// world->registry); `trace` null simply disables span recording. Point
+  /// these at a JsonReport's sinks (wire_obs) or a ShardContext's.
   obs::Registry* registry = nullptr;
   obs::TraceSink* trace = nullptr;
   /// Optional fault plan (see --fault-plan). Shared so sharded benches can
@@ -120,7 +119,6 @@ inline std::unique_ptr<World> make_world(WorldOptions options) {
       hosts::AsCatalog::standard(options.cellular_share_scale, options.severity_scale),
       options.registry, options.trace);
   util::Prng rng{options.seed};
-  options.network.registry = world->registry;
   world->net = std::make_unique<sim::Network>(world->sim, options.network, rng.fork(1));
   if (options.fault_plan != nullptr && !options.fault_plan->empty()) {
     world->fault_plan = options.fault_plan;
@@ -129,7 +127,7 @@ inline std::unique_ptr<World> make_world(WorldOptions options) {
     // byte-identical.
     world->fault_injector = std::make_unique<fault::FaultInjector>(
         world->sim, *world->fault_plan,
-        util::Prng{options.fault_seed}.fork(options.seed), world->registry);
+        util::Prng{options.fault_seed}.fork(options.seed));
     world->net->set_fault_hook(world->fault_injector.get());
   }
   world->ctx = std::make_unique<hosts::HostContext>(
@@ -143,16 +141,37 @@ inline std::unique_ptr<World> make_world(WorldOptions options) {
   return world;
 }
 
+/// Runs `parse` on what the command line named. Its failure is a usage
+/// error, not a crash: prints "error: <context><why>" and exits 2.
+template <typename Parse>
+auto or_usage_error(const std::string& context, Parse&& parse) -> decltype(parse()) {
+  try {
+    return parse();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s%s\n", context.c_str(), e.what());
+    std::exit(2);
+  }
+}
+
+/// Loads the fault plan at `path`; `flag` ("--fault-plan=...") names the
+/// flag that led there in the usage error a bad plan produces.
+inline std::shared_ptr<const fault::FaultPlan> load_fault_plan(const std::string& flag,
+                                                               const std::string& path) {
+  return or_usage_error(flag + ": ", [&path] {
+    return std::make_shared<const fault::FaultPlan>(fault::FaultPlan::load_file(path));
+  });
+}
+
 /// Applies the --fault-plan <file> / --fault-seed flags (and rejects any
 /// other --fault-* flag with the list of valid names). Returns a null plan
 /// when --fault-plan is absent: the world runs clean and creates no
 /// "fault.*" metrics.
 inline std::shared_ptr<const fault::FaultPlan> fault_plan_from_flags(
     const util::Flags& flags) {
-  fault::check_fault_flags(flags);
+  or_usage_error("", [&flags] { fault::check_fault_flags(flags); });
   const std::string path = flags.get_string("fault-plan", "");
   if (path.empty()) return nullptr;
-  return std::make_shared<const fault::FaultPlan>(fault::FaultPlan::load_file(path));
+  return load_fault_plan("--fault-plan=" + path, path);
 }
 
 /// Applies the common --blocks/--seed/--cellular-scale/--severity flags,
@@ -177,8 +196,6 @@ inline WorldOptions world_options_from_flags(const util::Flags& flags,
 inline probe::SurveyProber run_survey(World& world, int rounds) {
   probe::SurveyConfig config;
   config.rounds = rounds;
-  config.registry = world.registry;
-  config.trace = world.trace;
   // Crash faults need a checkpoint to resume from.
   if (world.fault_plan != nullptr &&
       world.fault_plan->has_kind(fault::FaultKind::kProberCrash)) {
@@ -245,7 +262,7 @@ inline analysis::PipelineResult analyze_survey(World& world,
                                                const probe::SurveyProber& prober,
                                                analysis::PipelineConfig config = {}) {
   config.registry = world.registry;
-  config.trace = world.trace;
+  config.trace = world.sim.trace();
   if (world.fault_injector != nullptr && world.fault_injector->corruption_enabled()) {
     std::ostringstream out;
     prober.log().save(out);

@@ -208,9 +208,7 @@ BENCHMARK(BM_SurveyEndToEnd)->Arg(50)->Unit(benchmark::kMillisecond);
 // populate a registry/trace for --metrics-out / --trace-out.
 void run_instrumented_sample(obs::Registry& registry, obs::TraceSink* trace) {
   sim::Simulator sim{&registry, trace};
-  sim::Network::Config net_config;
-  net_config.registry = &registry;
-  sim::Network net{sim, net_config, util::Prng{1}};
+  sim::Network net{sim, {}, util::Prng{1}};
   hosts::HostContext ctx{sim, net};
   hosts::PopulationConfig config;
   config.num_blocks = 20;
@@ -220,8 +218,6 @@ void run_instrumented_sample(obs::Registry& registry, obs::TraceSink* trace) {
 
   probe::SurveyConfig survey_config;
   survey_config.rounds = 4;
-  survey_config.registry = &registry;
-  survey_config.trace = trace;
   probe::SurveyProber prober{sim, net, survey_config, population.blocks(), util::Prng{3}};
   prober.start();
   sim.run();

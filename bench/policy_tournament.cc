@@ -73,18 +73,13 @@ int main(int argc, char** argv) {
   scenarios.push_back({"mix", "faults_policy_mix.json", nullptr});
   for (Scenario& scenario : scenarios) {
     if (scenario.plan_file.empty()) continue;
-    scenario.plan = std::make_shared<const fault::FaultPlan>(
-        fault::FaultPlan::load_file(plans_dir + "/" + scenario.plan_file));
+    scenario.plan = bench::load_fault_plan("--plans-dir=" + plans_dir,
+                                           plans_dir + "/" + scenario.plan_file);
   }
 
   std::printf("# policy_tournament: %d shards x %zu scenarios x (%d blocks x %d "
               "rounds), %u policies\n",
               shards, scenarios.size(), blocks, rounds, kPolicyCount);
-
-  struct ShardResult {
-    std::uint64_t events = 0;
-    std::uint64_t probes = 0;
-  };
 
   sim::ShardOptions shard_options;
   shard_options.jobs = static_cast<int>(flags.get_int("jobs", 0));
@@ -95,7 +90,6 @@ int main(int argc, char** argv) {
 
   const auto results = runner.run(
       static_cast<std::size_t>(shards), [&](sim::ShardContext& ctx) {
-        ShardResult result;
         for (const Scenario& scenario : scenarios) {
           // Phase 1: a clean survey of this shard's world builds the
           // static oracle — what Table 2 would have recommended.
@@ -106,8 +100,6 @@ int main(int argc, char** argv) {
           options.trace = ctx.trace;
           auto clean_world = bench::make_world(options);
           const auto clean_prober = bench::run_survey(*clean_world, rounds);
-          result.events += clean_world->sim.events_processed();
-          result.probes += clean_prober.probes_sent();
 
           const hosts::GeoDatabase* geo = &clean_world->population->geo();
           auto snapshot = std::make_shared<const serve::OracleSnapshot>(
@@ -123,8 +115,6 @@ int main(int argc, char** argv) {
             faulted_options.fault_seed = fault_seed;
             const auto faulted_world = bench::make_world(faulted_options);
             const auto faulted_prober = bench::run_survey(*faulted_world, rounds);
-            result.events += faulted_world->sim.events_processed();
-            result.probes += faulted_prober.probes_sent();
             observations = serve::observations_from_log(faulted_prober.log());
           } else {
             observations = serve::observations_from_log(clean_prober.log());
@@ -156,13 +146,11 @@ int main(int argc, char** argv) {
             engine.observe(observations[i]);
           }
         }
-        return result;
+        // All of this shard's surveys count into one registry cell.
+        return ctx.registry->counter("survey.probes_sent").value();
       });
 
-  for (const ShardResult& result : results) {
-    report.add_events(result.events);
-    report.add_probes(result.probes);
-  }
+  for (const std::uint64_t probes : results) report.add_probes(probes);
 
   const auto& counters = report.registry().counters();
   const auto counter = [&counters](const std::string& name) -> std::uint64_t {

@@ -74,15 +74,20 @@ void JsonReport::finish() {
   if (path_.empty()) return;
 
   const double wall_s = monotonic_seconds() - start_seconds_;
+  // Read, not created: a bench that ran no simulator reports 0 events
+  // without adding a series to the embedded metrics.
+  const auto events_it = registry_.counters().find("sim.events_processed");
+  const std::uint64_t events =
+      events_it == registry_.counters().end() ? 0 : events_it->second.value();
   std::ostringstream os;
   os << "{\n";
   os << "  \"bench\": " << obs::json_quote(name_) << ",\n";
   os << "  \"jobs\": " << jobs_ << ",\n";
   os << "  \"wall_s\": " << obs::json_fixed(wall_s) << ",\n";
   os << "  \"peak_rss_bytes\": " << peak_rss_bytes() << ",\n";
-  os << "  \"events\": " << events_ << ",\n";
+  os << "  \"events\": " << events << ",\n";
   os << "  \"events_per_sec\": "
-     << obs::json_fixed(wall_s > 0 ? static_cast<double>(events_) / wall_s : 0)
+     << obs::json_fixed(wall_s > 0 ? static_cast<double>(events) / wall_s : 0)
      << ",\n";
   os << "  \"probes\": " << probes_ << ",\n";
   os << "  \"probes_per_sec\": "

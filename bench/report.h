@@ -3,9 +3,12 @@
 // Every bench accepts --json-out=PATH and, when it is given, writes one
 // JSON object describing the run: wall time, peak RSS, shard concurrency,
 // simulator event totals, and derived rates (events/sec, probes simulated
-// per second). scripts/bench_report.sh runs the suite and merges the
-// objects into a top-level BENCH_results.json so performance is
-// comparable across PRs instead of anecdotal.
+// per second). The event total is the merged registry's
+// "sim.events_processed": every bench wires its simulators to the
+// report's registry, so no bench sums events by hand.
+// scripts/bench_report.sh runs the suite and merges the objects into a
+// top-level BENCH_results.json so performance is comparable across PRs
+// instead of anecdotal.
 //
 // Every bench also accepts --metrics-out=PATH (the deterministic
 // obs::Registry dump, byte-identical across --jobs values) and
@@ -50,9 +53,8 @@ class JsonReport {
   /// Shard concurrency the bench ran with (1 for serial benches).
   void set_jobs(int jobs) { jobs_ = jobs; }
 
-  /// Accumulates simulator totals across every World the bench ran;
-  /// events_per_sec / probes_per_sec are derived at finish().
-  void add_events(std::uint64_t events) { events_ += events; }
+  /// Accumulates probes sent across the bench's probers; probes_per_sec
+  /// (and events_per_sec, from the registry) are derived at finish().
   void add_probes(std::uint64_t probes) { probes_ += probes; }
 
   /// Extra bench-specific metrics (e.g. "speedup_vs_serial").
@@ -72,11 +74,6 @@ class JsonReport {
     return trace_path_.empty() ? nullptr : &trace_;
   }
 
-  /// Merges/appends externally collected sinks (for benches that cannot
-  /// point their Worlds at the report's own sinks).
-  void add_registry(const obs::Registry& registry) { registry_.merge_from(registry); }
-  void add_trace(const obs::TraceSink& trace) { trace_.append(trace); }
-
   /// Writes the JSON object (if --json-out was given) plus the
   /// --metrics-out and --trace-out files. Idempotent; also invoked by the
   /// destructor so early returns still report.
@@ -89,7 +86,6 @@ class JsonReport {
   std::string trace_path_;    // empty: tracing disabled
   double start_seconds_;
   int jobs_ = 1;
-  std::uint64_t events_ = 0;
   std::uint64_t probes_ = 0;
   std::vector<std::pair<std::string, std::string>> extra_;  // key -> rendered value
   obs::Registry registry_;

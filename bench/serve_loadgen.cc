@@ -130,7 +130,6 @@ int main(int argc, char** argv) {
 
   struct ShardResult {
     std::vector<std::int64_t> latencies_us;
-    std::uint64_t events = 0;
     std::uint64_t probes = 0;
     obs::FlightData flight;
     obs::ExemplarStore exemplars;
@@ -207,8 +206,7 @@ int main(int argc, char** argv) {
         std::unique_ptr<fault::FaultInjector> injector;
         if (fault_plan != nullptr && !fault_plan->empty()) {
           injector = std::make_unique<fault::FaultInjector>(
-              serve_sim, *fault_plan, util::Prng{fault_seed}.fork(options.seed),
-              ctx.registry);
+              serve_sim, *fault_plan, util::Prng{fault_seed}.fork(options.seed));
           server.set_fault_hook(injector.get());
           injector->arm([&server](SimTime restart) { server.crash(restart); });
         }
@@ -269,7 +267,6 @@ int main(int argc, char** argv) {
         if (recorder.has_value()) result.flight = recorder->finalize(serve_sim.now());
         result.exemplars = std::move(exemplars);
         result.latencies_us = generator.latencies_us();
-        result.events = world->sim.events_processed() + serve_sim.events_processed();
         result.probes = prober.probes_sent();
         return result;
       });
@@ -279,7 +276,6 @@ int main(int argc, char** argv) {
   obs::ExemplarStore merged_exemplars;
   for (const auto& result : results) {
     merged.insert(merged.end(), result.latencies_us.begin(), result.latencies_us.end());
-    report.add_events(result.events);
     report.add_probes(result.probes);
     // Shard order: flight frames align by window index, exemplars keep the
     // lowest shard's pick — both byte-identical across --jobs.

@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
               "duplicate, paper split 32%%/68%%)\n",
               discarded, static_cast<unsigned long long>(c.broadcast_addresses),
               static_cast<unsigned long long>(c.duplicate_addresses));
-  report.add_events(world->sim.events_processed());
   report.add_probes(prober.probes_sent());
   return 0;
 }

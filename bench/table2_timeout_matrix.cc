@@ -34,8 +34,6 @@ int main(int argc, char** argv) {
 
   probe::SurveyConfig survey_config;
   survey_config.rounds = rounds;
-  survey_config.registry = world->registry;
-  survey_config.trace = world->trace;
   probe::SurveyProber prober{world->sim, *world->net, survey_config,
                              world->population->blocks(), util::Prng{options.seed ^ 0xBEEF}};
   prober.start();
@@ -49,7 +47,7 @@ int main(int argc, char** argv) {
   auto dataset = analysis::SurveyDataset::from_log(prober.log());
   analysis::PipelineConfig pipeline_config;
   pipeline_config.registry = world->registry;
-  pipeline_config.trace = world->trace;
+  pipeline_config.trace = world->sim.trace();
   const auto result = analysis::run_pipeline(dataset, pipeline_config);
   std::printf("# addresses: %zu kept, %zu broadcast-flagged, %zu duplicate-flagged\n",
               result.addresses.size(), result.broadcast_flagged.size(),
@@ -72,7 +70,6 @@ int main(int argc, char** argv) {
   std::printf("\nTable 2: minimum timeout (s) capturing c%% of pings from r%% of addresses\n");
   if (csv.has_value()) csv->write_table("table2_timeout_matrix", table);
   table.print(std::cout);
-  report.add_events(world->sim.events_processed());
   report.add_probes(prober.probes_sent());
   return 0;
 }

@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
   std::uint64_t max_count = 0;
 
   for (const auto& run : runs) {
-    report.add_events(run.sim_events);
     report.add_probes(run.probes);
     std::set<std::uint32_t> unique;
     for (const auto& r : run.responses) unique.insert(r.responder.value());

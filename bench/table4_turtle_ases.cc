@@ -13,7 +13,7 @@ using namespace turtle;
 int main(int argc, char** argv) {
   const auto flags = util::Flags::parse(argc, argv);
   bench::JsonReport report{flags, "table4_turtle_ases"};
-  auto exp = bench::AsTableExperiment::run(flags, /*default_blocks=*/1200, &report);
+  auto exp = bench::AsTableExperiment::run(flags, /*default_blocks=*/1200, report);
 
   const auto rows = analysis::rank_ases(exp.scans, exp.world->population->geo(), 1.0, 10);
   std::printf("# table4_turtle_ases: %zu blocks, %zu scans\n",
@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\n# %zu of top %zu ASes are cellular/mixed (paper: 8-9 of 10)\n", cellularish,
               rows.size());
-  report.add_events(exp.sim_events);
   report.add_probes(exp.probes);
   return 0;
 }

@@ -12,7 +12,7 @@ using namespace turtle;
 int main(int argc, char** argv) {
   const auto flags = util::Flags::parse(argc, argv);
   bench::JsonReport report{flags, "table5_continents"};
-  auto exp = bench::AsTableExperiment::run(flags, /*default_blocks=*/1200, &report);
+  auto exp = bench::AsTableExperiment::run(flags, /*default_blocks=*/1200, report);
 
   const auto rows = analysis::rank_continents(exp.scans, exp.world->population->geo(), 1.0);
   std::printf("# table5_continents: %zu blocks, %zu scans\n",
@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::printf("\n# top-2 continents hold %.0f%% of turtles (paper: ~75%%)\n",
               total_turtles ? 100.0 * top2 / total_turtles : 0.0);
-  report.add_events(exp.sim_events);
   report.add_probes(exp.probes);
   return 0;
 }

@@ -13,7 +13,7 @@ using namespace turtle;
 int main(int argc, char** argv) {
   const auto flags = util::Flags::parse(argc, argv);
   bench::JsonReport report{flags, "table6_sleepy_turtles"};
-  auto exp = bench::AsTableExperiment::run(flags, /*default_blocks=*/1600, &report);
+  auto exp = bench::AsTableExperiment::run(flags, /*default_blocks=*/1600, report);
 
   const auto rows = analysis::rank_ases(exp.scans, exp.world->population->geo(), 100.0, 10);
   std::printf("# table6_sleepy_turtles: %zu blocks, %zu scans\n",
@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
   std::printf("# overall sleepy-turtle incidence: %.3f%% of responding addresses "
               "(paper: ~0.1%%)\n",
               responding ? 100.0 * sleepy / responding : 0.0);
-  report.add_events(exp.sim_events);
   report.add_probes(exp.probes);
   return 0;
 }

@@ -28,7 +28,6 @@ struct StreamResult {
 
 struct ShardResult {
   std::vector<StreamResult> streams;  // in candidate order within the chunk
-  std::uint64_t sim_events = 0;
   std::uint64_t probes = 0;
 };
 
@@ -44,7 +43,6 @@ int main(int argc, char** argv) {
   bench::wire_obs(options, report);
   auto world = bench::make_world(options);
   const auto prober = bench::run_survey(*world, survey_rounds);
-  report.add_events(world->sim.events_processed());
   report.add_probes(prober.probes_sent());
   const auto result = bench::analyze_survey(*world, prober);
 
@@ -75,8 +73,7 @@ int main(int argc, char** argv) {
         shard_world_options.trace = ctx.trace;
         auto shard_world = bench::make_world(shard_world_options);
         probe::ScamperProber scamper{shard_world->sim, *shard_world->net,
-                                     net::Ipv4Address::from_octets(198, 51, 100, 12),
-                                     shard_world->registry, shard_world->trace};
+                                     net::Ipv4Address::from_octets(198, 51, 100, 12)};
         const SimTime start = SimTime::minutes(2);
         for (std::size_t i = lo; i < hi; ++i) {
           scamper.ping(candidates[i], pings, SimTime::seconds(1),
@@ -85,7 +82,6 @@ int main(int argc, char** argv) {
         shard_world->sim.run();
 
         ShardResult shard;
-        shard.sim_events = shard_world->sim.events_processed();
         shard.probes = scamper.probes_sent();
         for (std::size_t i = lo; i < hi; ++i) {
           shard.streams.push_back(StreamResult{
@@ -98,7 +94,6 @@ int main(int argc, char** argv) {
   analysis::PatternTable pattern_table;
   std::size_t responded = 0;
   for (const auto& shard : shard_results) {
-    report.add_events(shard.sim_events);
     report.add_probes(shard.probes);
     for (const auto& stream : shard.streams) {
       bool any = false;

@@ -14,9 +14,8 @@ namespace turtle::bench {
 
 struct ScanRun {
   std::string label;
-  std::uint64_t probes = 0;
-  std::uint64_t sim_events = 0;  ///< events the scan's world processed
-  SimTime begin;                 ///< simulated start of the scan
+  std::uint64_t probes = 0;  ///< probes this scan sent
+  SimTime begin;             ///< simulated start of the scan
   std::vector<probe::ZmapResponse> responses;
 };
 
@@ -33,16 +32,17 @@ inline std::vector<ScanRun> run_zmap_scans(World& world, int count,
     probe::ZmapConfig config;
     config.scan_duration = scan_duration;
     config.permutation_seed = static_cast<std::uint64_t>(i) + 1;
-    config.registry = world.registry;
-    config.trace = world.trace;
     auto scanner = std::make_unique<probe::ZmapScanner>(world.sim, *world.net, config);
+    // Every scan counts into the world's one "zmap.probes_sent" cell, so a
+    // scan's own probes are the cell's growth across it.
+    const std::uint64_t probes_before = scanner->probes_sent();
     ScanRun run;
     run.begin = world.sim.now();
     scanner->start(blocks);
     world.sim.run();  // drain: every late response is in
 
     run.label = "scan " + std::to_string(i + 1);
-    run.probes = scanner->probes_sent();
+    run.probes = scanner->probes_sent() - probes_before;
     run.responses = scanner->responses();
     runs.push_back(std::move(run));
 
@@ -79,8 +79,6 @@ inline std::vector<ScanRun> run_zmap_scans_sharded(const WorldOptions& world_opt
     probe::ZmapConfig config;
     config.scan_duration = scan_duration;
     config.permutation_seed = ctx.shard_index + 1;
-    config.registry = world->registry;
-    config.trace = world->trace;
     probe::ZmapScanner scanner{world->sim, *world->net, config};
     ScanRun run;
     run.begin = world->sim.now();
@@ -90,7 +88,6 @@ inline std::vector<ScanRun> run_zmap_scans_sharded(const WorldOptions& world_opt
     run.label = "scan " + std::to_string(ctx.shard_index + 1);
     run.probes = scanner.probes_sent();
     run.responses = scanner.responses();
-    run.sim_events = world->sim.events_processed();
     return run;
   });
 }

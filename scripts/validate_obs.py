@@ -4,7 +4,7 @@
 Usage:
     scripts/validate_obs.py --metrics M.json --trace T.json [--stdout OUT.txt]
                             [--fault] [--serve] [--daemon] [--snapshot S.snap]
-                            [--flight F.json]
+                            [--flight F.json] [--report R.json]
 
 Checks:
   * the metrics file is valid JSON with the turtle-metrics-v1 schema,
@@ -52,7 +52,13 @@ Checks:
     windows tile [0, end) contiguously; watchdog fires recorded in frames
     sum to the watchdog.* counters; every exemplar's value lands in the
     bucket it claims and its trace id resolves to a tagged event in the
-    --trace file; and no wall.* name appears anywhere.
+    --trace file; and no wall.* name appears anywhere;
+  * with --report (the same run's --json-out report), the report's totals
+    are the registry's: `events` equals sim.events_processed and `probes`
+    equals the sum of every *.probes_sent counter. Only for benches whose
+    probers all count into the registry (the survey, Zmap and scamper
+    probers); the census/Trinocular/outage-detector probers keep
+    per-object stats the ablation benches add by hand.
 """
 import argparse
 import json
@@ -480,6 +486,18 @@ def validate_policy(metrics):
                   f"answered {c('answered')}")
 
 
+def validate_report(path, metrics):
+    with open(path) as f:
+        report = json.load(f)
+    counters = metrics.get("counters", {})
+    events = counters.get("sim.events_processed", 0)
+    probes = sum(v for k, v in counters.items() if k.endswith(".probes_sent"))
+    check(report.get("events") == events,
+          f"report: events {report.get('events')} != sim.events_processed {events}")
+    check(report.get("probes") == probes,
+          f"report: probes {report.get('probes')} != sum of *.probes_sent {probes}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--metrics",
@@ -502,10 +520,14 @@ def main():
     parser.add_argument("--flight",
                         help="turtle-flight-v1 dump to audit (conservation, watchdog "
                              "fires, exemplar resolution)")
+    parser.add_argument("--report",
+                        help="the run's --json-out report: its events/probes totals "
+                             "must equal the registry's")
     args = parser.parse_args()
     if args.metrics is None and not ((args.snapshot or args.flight) and not args.stdout
                                      and not args.fault and not args.serve
-                                     and not args.daemon and not args.policy):
+                                     and not args.daemon and not args.policy
+                                     and not args.report):
         parser.error("--metrics is required unless only --snapshot/--flight is given")
 
     metrics = (validate_metrics(args.metrics, require_histograms=not args.daemon)
@@ -525,6 +547,8 @@ def main():
         validate_snapshot(args.snapshot, metrics)
     if args.flight:
         validate_flight(args.flight, metrics, trace)
+    if args.report:
+        validate_report(args.report, metrics)
 
     if FAILURES:
         for failure in FAILURES:

@@ -25,26 +25,19 @@ bool is_echo_request(const net::Packet& packet) {
 }  // namespace
 
 FaultInjector::FaultInjector(sim::Simulator& sim, const FaultPlan& plan,
-                             util::Prng rng, obs::Registry* registry)
+                             util::Prng rng)
     : sim_{sim},
       packet_rng_{rng.fork(1)},
       corruption_rng_{rng.fork(2)},
-      outage_drops_{registry ? &registry->counter("fault.injected.outage_drops")
-                             : &fallback_},
-      loss_drops_{registry ? &registry->counter("fault.injected.loss_drops")
-                           : &fallback_},
-      delayed_packets_{registry ? &registry->counter("fault.injected.delayed_packets")
-                                : &fallback_},
-      dup_copies_{registry ? &registry->counter("fault.injected.dup_copies")
-                           : &fallback_},
-      broadcast_copies_{registry ? &registry->counter("fault.injected.broadcast_copies")
-                                 : &fallback_},
-      crashes_{registry ? &registry->counter("fault.injected.crashes") : &fallback_},
-      records_hit_{registry ? &registry->counter("fault.records.hit") : &fallback_},
-      records_detectable_{registry ? &registry->counter("fault.records.detectable")
-                                   : &fallback_},
-      records_silent_{registry ? &registry->counter("fault.records.silent")
-                               : &fallback_} {
+      outage_drops_{&sim.registry().counter("fault.injected.outage_drops")},
+      loss_drops_{&sim.registry().counter("fault.injected.loss_drops")},
+      delayed_packets_{&sim.registry().counter("fault.injected.delayed_packets")},
+      dup_copies_{&sim.registry().counter("fault.injected.dup_copies")},
+      broadcast_copies_{&sim.registry().counter("fault.injected.broadcast_copies")},
+      crashes_{&sim.registry().counter("fault.injected.crashes")},
+      records_hit_{&sim.registry().counter("fault.records.hit")},
+      records_detectable_{&sim.registry().counter("fault.records.detectable")},
+      records_silent_{&sim.registry().counter("fault.records.silent")} {
   for (const FaultSpec& spec : plan.faults()) {
     switch (spec.kind) {
       case FaultKind::kProberCrash:

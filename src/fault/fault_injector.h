@@ -40,13 +40,12 @@ namespace turtle::fault {
 class FaultInjector : public sim::FaultHook {
  public:
   /// `rng` must be a substream dedicated to this injector (worlds fork it
-  /// per shard, keyed by world seed, so shards stay independent).
-  /// `registry` receives the "fault.injected.*" / "fault.records.*"
-  /// counters; they are created eagerly — a fault run is expected to show
-  /// its fault series, and eager creation keeps the created-metrics set
-  /// identical across --jobs values.
-  FaultInjector(sim::Simulator& sim, const FaultPlan& plan, util::Prng rng,
-                obs::Registry* registry);
+  /// per shard, keyed by world seed, so shards stay independent). The
+  /// "fault.injected.*" / "fault.records.*" counters land in the
+  /// simulator's registry; they are created eagerly — a fault run is
+  /// expected to show its fault series, and eager creation keeps the
+  /// created-metrics set identical across --jobs values.
+  FaultInjector(sim::Simulator& sim, const FaultPlan& plan, util::Prng rng);
 
   /// sim::FaultHook: the verdict for one Network::send. Deterministic in
   /// (event order, injector PRNG stream).
@@ -81,8 +80,6 @@ class FaultInjector : public sim::FaultHook {
     sim::WindowOverlay window;
   };
 
-  [[nodiscard]] obs::Counter& counter(const char* name);
-
   sim::Simulator& sim_;
   std::vector<ActiveFault> packet_faults_;  ///< window'd kinds, plan order
   std::vector<FaultSpec> crash_faults_;
@@ -91,7 +88,6 @@ class FaultInjector : public sim::FaultHook {
   util::Prng packet_rng_;
   util::Prng corruption_rng_;
 
-  obs::Counter fallback_;
   obs::Counter* outage_drops_;      ///< "fault.injected.outage_drops"
   obs::Counter* loss_drops_;        ///< "fault.injected.loss_drops"
   obs::Counter* delayed_packets_;   ///< "fault.injected.delayed_packets"

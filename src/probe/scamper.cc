@@ -5,18 +5,14 @@
 namespace turtle::probe {
 
 ScamperProber::ScamperProber(sim::Simulator& sim, sim::Network& net,
-                             net::Ipv4Address vantage, obs::Registry* registry,
-                             obs::TraceSink* trace)
+                             net::Ipv4Address vantage)
     : sim_{sim},
       net_{net},
       vantage_{vantage},
-      registry_{registry},
-      probes_sent_{registry ? &registry->counter("scamper.probes_sent")
-                            : &fallback_sent_},
-      responses_received_{registry ? &registry->counter("scamper.responses_received")
-                                   : &fallback_responses_},
-      rtt_{registry ? &registry->histogram("scamper.rtt") : &fallback_rtt_},
-      trace_{trace} {}
+      probes_sent_{&sim.registry().counter("scamper.probes_sent")},
+      responses_received_{&sim.registry().counter("scamper.responses_received")},
+      rtt_{&sim.registry().histogram("scamper.rtt")},
+      trace_{sim.trace()} {}
 
 void ScamperProber::ping(net::Ipv4Address target, int count, SimTime interval,
                          ProbeProtocol protocol, SimTime start) {
@@ -144,9 +140,7 @@ void ScamperProber::note_response(net::Ipv4Address src, std::uint32_t token, std
                                  : 0;
   if (extra > room) {
     if (dups_suppressed_ == nullptr) {
-      dups_suppressed_ = registry_ != nullptr
-                             ? &registry_->counter("fault.scamper.dups_suppressed")
-                             : &fallback_dups_suppressed_;
+      dups_suppressed_ = &sim_.registry().counter("fault.scamper.dups_suppressed");
     }
     dups_suppressed_->inc(extra - room);
     extra = room;

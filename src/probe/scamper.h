@@ -58,11 +58,10 @@ class ScamperProber : public sim::PacketSink {
   /// tcpdump-capture configuration.
   static constexpr SimTime kIndefinite = SimTime::micros(std::numeric_limits<std::int64_t>::max() / 4);
 
-  /// `registry` adds "scamper.*" counters and the "scamper.rtt" histogram
-  /// of first-response RTTs; `trace` adds one span per first response.
-  /// Both optional.
-  ScamperProber(sim::Simulator& sim, sim::Network& net, net::Ipv4Address vantage,
-                obs::Registry* registry = nullptr, obs::TraceSink* trace = nullptr);
+  /// Counts into the simulator's registry ("scamper.*" counters and the
+  /// "scamper.rtt" histogram of first-response RTTs) and, when the
+  /// simulator traces, records one span per first response.
+  ScamperProber(sim::Simulator& sim, sim::Network& net, net::Ipv4Address vantage);
 
   /// Schedules a stream of `count` probes to `target`, one every
   /// `interval`, starting at absolute time `start`.
@@ -121,16 +120,11 @@ class ScamperProber : public sim::PacketSink {
   std::uint32_t next_token_ = 1;
   std::uint32_t max_duplicates_per_probe_ = std::uint32_t{1} << 20;
 
-  obs::Registry* registry_;
-  obs::Counter fallback_sent_;
-  obs::Counter fallback_responses_;
-  obs::Histogram fallback_rtt_;
   obs::Counter* probes_sent_;          ///< "scamper.probes_sent"
   obs::Counter* responses_received_;   ///< "scamper.responses_received"
   obs::Histogram* rtt_;                ///< "scamper.rtt" (first responses)
   /// "fault.scamper.dups_suppressed"; bound lazily (clean runs never
   /// create the fault series).
-  obs::Counter fallback_dups_suppressed_;
   obs::Counter* dups_suppressed_ = nullptr;
   obs::TraceSink* trace_;
 };

@@ -13,23 +13,14 @@ SurveyProber::SurveyProber(sim::Simulator& sim, sim::Network& net, SurveyConfig 
       config_{config},
       blocks_{std::move(blocks)},
       rng_{rng},
-      probes_sent_{config.registry ? &config.registry->counter("survey.probes_sent")
-                                   : &fallback_sent_},
-      responses_received_{config.registry
-                              ? &config.registry->counter("survey.responses_received")
-                              : &fallback_responses_},
-      matched_{config.registry ? &config.registry->counter("survey.matched")
-                               : &fallback_matched_},
-      timeouts_{config.registry ? &config.registry->counter("survey.timeouts")
-                                : &fallback_timeouts_},
-      unmatched_packets_{config.registry
-                             ? &config.registry->counter("survey.unmatched_packets")
-                             : &fallback_unmatched_},
-      errors_{config.registry ? &config.registry->counter("survey.errors")
-                              : &fallback_errors_},
-      rtt_{config.registry ? &config.registry->histogram("survey.rtt")
-                           : &fallback_rtt_},
-      trace_{config.trace} {
+      probes_sent_{&sim.registry().counter("survey.probes_sent")},
+      responses_received_{&sim.registry().counter("survey.responses_received")},
+      matched_{&sim.registry().counter("survey.matched")},
+      timeouts_{&sim.registry().counter("survey.timeouts")},
+      unmatched_packets_{&sim.registry().counter("survey.unmatched_packets")},
+      errors_{&sim.registry().counter("survey.errors")},
+      rtt_{&sim.registry().histogram("survey.rtt")},
+      trace_{sim.trace()} {
   TURTLE_CHECK_GT(config_.rounds, 0);
   TURTLE_CHECK_GT(config_.round_interval, SimTime{});
   TURTLE_CHECK_GT(config_.match_timeout, SimTime{});
@@ -161,10 +152,7 @@ void SurveyProber::evict_excess_pending() {
 }
 
 obs::Counter& SurveyProber::fault_counter(obs::Counter*& slot, const char* name) {
-  if (slot == nullptr) {
-    slot = config_.registry != nullptr ? &config_.registry->counter(name)
-                                       : &fallback_fault_;
-  }
+  if (slot == nullptr) slot = &sim_.registry().counter(name);
   return *slot;
 }
 

@@ -39,12 +39,6 @@ struct SurveyConfig {
   SimTime match_timeout = SimTime::seconds(3);
   int rounds = 20;
   std::uint16_t icmp_id = 0x5153;
-  /// Optional metrics sink ("survey.*" counters and the "survey.rtt"
-  /// matched-RTT histogram). Usually the owning World's registry.
-  obs::Registry* registry = nullptr;
-  /// Optional trace sink: probe lifecycle spans (matched / timed-out) and
-  /// per-round instants, all on the simulated clock.
-  obs::TraceSink* trace = nullptr;
 
   // --- Resilience knobs (turtle::fault) ---------------------------------
   /// Bound on outstanding probes. A duplicate/DoS storm cannot grow the
@@ -67,6 +61,11 @@ struct SurveyConfig {
 /// `end_time()` plus the longest delay of interest).
 class SurveyProber : public sim::PacketSink {
  public:
+  /// Counts into the simulator's registry ("survey.*" counters and the
+  /// "survey.rtt" matched-RTT histogram) and, when the simulator traces,
+  /// records probe lifecycle spans (matched / timed-out) and per-round
+  /// instants on the simulated clock. A metric cell is per registry, so
+  /// two surveys on one simulator share their counts.
   SurveyProber(sim::Simulator& sim, sim::Network& net, SurveyConfig config,
                std::vector<net::Prefix24> blocks, util::Prng rng);
 
@@ -126,10 +125,9 @@ class SurveyProber : public sim::PacketSink {
   void take_checkpoint(std::uint32_t completed_rounds);
   void resume_from_checkpoint();
   void evict_excess_pending();
-  /// Lazily binds a fault counter: registry-backed when a registry is
-  /// attached, shared fallback otherwise. Lazy so a faultless run never
-  /// creates "fault.*" series and its metrics dump is byte-identical to
-  /// builds without this layer.
+  /// Lazily binds a fault counter. Lazy so a faultless run never creates
+  /// "fault.*" series and its metrics dump is byte-identical to builds
+  /// without this layer.
   obs::Counter& fault_counter(obs::Counter*& slot, const char* name);
 
   struct Outstanding {
@@ -165,15 +163,6 @@ class SurveyProber : public sim::PacketSink {
   std::string checkpoint_bytes_;
   std::size_t checkpoint_log_size_ = 0;  ///< log_.size() at last checkpoint
 
-  // Registry-backed counters with private fallbacks so the hot paths never
-  // branch on "is a registry attached".
-  obs::Counter fallback_sent_;
-  obs::Counter fallback_responses_;
-  obs::Counter fallback_matched_;
-  obs::Counter fallback_timeouts_;
-  obs::Counter fallback_unmatched_;
-  obs::Counter fallback_errors_;
-  obs::Histogram fallback_rtt_;
   obs::Counter* probes_sent_;         ///< "survey.probes_sent"
   obs::Counter* responses_received_;  ///< "survey.responses_received"
   obs::Counter* matched_;             ///< "survey.matched"
@@ -184,7 +173,6 @@ class SurveyProber : public sim::PacketSink {
   obs::TraceSink* trace_;
 
   // Fault-path counters, bound lazily on first use (see fault_counter).
-  obs::Counter fallback_fault_;
   obs::Counter* crashes_ = nullptr;            ///< "fault.survey.crashes"
   obs::Counter* records_lost_ = nullptr;       ///< "fault.survey.records_lost"
   obs::Counter* pending_lost_ = nullptr;       ///< "fault.survey.pending_lost"

@@ -8,15 +8,11 @@ ZmapScanner::ZmapScanner(sim::Simulator& sim, sim::Network& net, ZmapConfig conf
     : sim_{sim},
       net_{net},
       config_{config},
-      probes_sent_{config.registry ? &config.registry->counter("zmap.probes_sent")
-                                   : &fallback_sent_},
-      responses_received_{config.registry ? &config.registry->counter("zmap.responses")
-                                          : &fallback_responses_},
-      address_mismatch_{config.registry
-                            ? &config.registry->counter("zmap.address_mismatch")
-                            : &fallback_mismatch_},
-      rtt_{config.registry ? &config.registry->histogram("zmap.rtt") : &fallback_rtt_},
-      trace_{config.trace} {}
+      probes_sent_{&sim.registry().counter("zmap.probes_sent")},
+      responses_received_{&sim.registry().counter("zmap.responses")},
+      address_mismatch_{&sim.registry().counter("zmap.address_mismatch")},
+      rtt_{&sim.registry().histogram("zmap.rtt")},
+      trace_{sim.trace()} {}
 
 void ZmapScanner::start(const std::vector<net::Prefix24>& blocks) {
   blocks_ = blocks;
@@ -101,9 +97,7 @@ void ZmapScanner::deliver(const net::Packet& packet, std::uint32_t copies) {
                                  : 0;
   if (expand > room) {
     if (responses_dropped_ == nullptr) {
-      responses_dropped_ = config_.registry != nullptr
-                               ? &config_.registry->counter("fault.zmap.responses_dropped")
-                               : &fallback_dropped_;
+      responses_dropped_ = &sim_.registry().counter("fault.zmap.responses_dropped");
     }
     responses_dropped_->inc(expand - room);
     expand = room;

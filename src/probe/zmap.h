@@ -38,12 +38,6 @@ struct ZmapConfig {
   /// and discarded, so a duplicate/DoS storm cannot grow the result
   /// vector without bound. Never reached by clean runs.
   std::size_t max_responses = std::size_t{1} << 22;
-  /// Optional metrics sink ("zmap.*" counters and the "zmap.rtt"
-  /// histogram of stateless-matched RTTs).
-  obs::Registry* registry = nullptr;
-  /// Optional trace sink: one span per matched response (send → receive,
-  /// from the timing payload) on the simulated clock.
-  obs::TraceSink* trace = nullptr;
 };
 
 /// One received echo response, as the scanner's output row.
@@ -60,6 +54,11 @@ struct ZmapResponse {
 
 class ZmapScanner : public sim::PacketSink {
  public:
+  /// Counts into the simulator's registry ("zmap.*" counters and the
+  /// "zmap.rtt" histogram of stateless-matched RTTs) and, when the
+  /// simulator traces, records one span per matched response (send →
+  /// receive, from the timing payload). A metric cell is per registry, so
+  /// scans on one simulator share their counts.
   ZmapScanner(sim::Simulator& sim, sim::Network& net, ZmapConfig config);
 
   /// Probes all 256 addresses of every block, once each, spread over the
@@ -88,17 +87,12 @@ class ZmapScanner : public sim::PacketSink {
 
   std::vector<ZmapResponse> responses_;
 
-  obs::Counter fallback_sent_;
-  obs::Counter fallback_responses_;
-  obs::Counter fallback_mismatch_;
-  obs::Histogram fallback_rtt_;
   obs::Counter* probes_sent_;          ///< "zmap.probes_sent"
   obs::Counter* responses_received_;   ///< "zmap.responses"
   obs::Counter* address_mismatch_;     ///< "zmap.address_mismatch"
   obs::Histogram* rtt_;              ///< "zmap.rtt"
   /// "fault.zmap.responses_dropped"; bound lazily so clean runs never
   /// create the fault series.
-  obs::Counter fallback_dropped_;
   obs::Counter* responses_dropped_ = nullptr;
   obs::TraceSink* trace_;
 };

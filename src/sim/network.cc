@@ -11,15 +11,10 @@ Network::Network(Simulator& sim, Config config, util::Prng rng)
     : sim_{sim},
       config_{config},
       rng_{rng},
-      packets_sent_{config.registry ? &config.registry->counter("net.packets_sent")
-                                    : &fallback_sent_},
-      packets_dropped_{config.registry ? &config.registry->counter("net.packets_dropped")
-                                       : &fallback_dropped_},
-      packets_delivered_{config.registry
-                             ? &config.registry->counter("net.packets_delivered")
-                             : &fallback_delivered_},
-      transit_delay_{config.registry ? &config.registry->histogram("net.transit_delay")
-                                     : &fallback_transit_delay_} {
+      packets_sent_{&sim.registry().counter("net.packets_sent")},
+      packets_dropped_{&sim.registry().counter("net.packets_dropped")},
+      packets_delivered_{&sim.registry().counter("net.packets_delivered")},
+      transit_delay_{&sim.registry().histogram("net.transit_delay")} {
   TURTLE_CHECK(!config_.transit_base.is_negative())
       << "negative transit delay " << config_.transit_base;
   TURTLE_CHECK_GE(config_.core_loss, 0.0);
@@ -30,15 +25,10 @@ Network::Network(Simulator& sim, Config config, util::Prng rng)
 void Network::set_fault_hook(FaultHook* hook) {
   fault_hook_ = hook;
   if (hook == nullptr) return;
-  if (config_.registry != nullptr) {
-    fault_dropped_ = &config_.registry->counter("fault.net.dropped_packets");
-    fault_delayed_ = &config_.registry->counter("fault.net.delayed_packets");
-    fault_copies_ = &config_.registry->counter("fault.net.extra_copies");
-  } else {
-    fault_dropped_ = &fallback_fault_dropped_;
-    fault_delayed_ = &fallback_fault_delayed_;
-    fault_copies_ = &fallback_fault_copies_;
-  }
+  obs::Registry& registry = sim_.registry();
+  fault_dropped_ = &registry.counter("fault.net.dropped_packets");
+  fault_delayed_ = &registry.counter("fault.net.delayed_packets");
+  fault_copies_ = &registry.counter("fault.net.extra_copies");
 }
 
 void Network::attach_endpoint(net::Ipv4Address addr, PacketSink* sink) {

@@ -74,13 +74,10 @@ class Network {
     double transit_jitter_sigma = 0.15;
     /// Per-leg loss probability in the core (access loss is the host's).
     double core_loss = 0.002;
-    /// Optional metrics sink ("net.packets_*" counters plus the
-    /// "net.transit_delay" per-leg delay histogram). Usually the owning
-    /// World's registry; private counters keep the accessors working
-    /// when absent.
-    obs::Registry* registry = nullptr;
   };
 
+  /// Counts into the simulator's registry: the "net.packets_*" counters
+  /// plus the "net.transit_delay" per-leg delay histogram.
   Network(Simulator& sim, Config config, util::Prng rng);
 
   /// Registers the resolver for the host population. Must outlive the
@@ -122,17 +119,10 @@ class Network {
 
   // Applied-fault counters, bound when a hook is installed (cold path;
   // faultless runs never create them, keeping metrics dumps unchanged).
-  obs::Counter fallback_fault_dropped_;
-  obs::Counter fallback_fault_delayed_;
-  obs::Counter fallback_fault_copies_;
   obs::Counter* fault_dropped_ = nullptr;   ///< "fault.net.dropped_packets"
   obs::Counter* fault_delayed_ = nullptr;   ///< "fault.net.delayed_packets"
   obs::Counter* fault_copies_ = nullptr;    ///< "fault.net.extra_copies"
 
-  obs::Counter fallback_sent_;
-  obs::Counter fallback_dropped_;
-  obs::Counter fallback_delivered_;
-  obs::Histogram fallback_transit_delay_;
   obs::Counter* packets_sent_;         ///< "net.packets_sent"
   obs::Counter* packets_dropped_;      ///< "net.packets_dropped"
   obs::Counter* packets_delivered_;    ///< "net.packets_delivered"

@@ -6,18 +6,17 @@
 namespace turtle::sim {
 
 Simulator::Simulator(obs::Registry* registry, obs::TraceSink* trace)
-    : events_{registry ? &registry->counter("sim.events_processed") : &fallback_events_},
-      event_times_{registry ? &registry->counter("sim.event_times")
-                            : &fallback_event_times_},
-      queue_high_water_{registry ? &registry->gauge("sim.queue_high_water") : nullptr},
-      trace_{trace} {}
+    : owned_registry_{registry != nullptr ? nullptr : std::make_unique<obs::Registry>()},
+      registry_{registry != nullptr ? registry : owned_registry_.get()},
+      trace_{trace},
+      events_{&registry_->counter("sim.events_processed")},
+      event_times_{&registry_->counter("sim.event_times")},
+      queue_high_water_{&registry_->gauge("sim.queue_high_water")} {}
 
 Simulator::~Simulator() { sync_queue_metrics(); }
 
 void Simulator::sync_queue_metrics() {
-  if (queue_high_water_ != nullptr) {
-    queue_high_water_->set_max(static_cast<std::int64_t>(queue_.high_water()));
-  }
+  queue_high_water_->set_max(static_cast<std::int64_t>(queue_.high_water()));
 }
 
 void Simulator::schedule_at(SimTime t, Callback cb) {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -33,11 +34,14 @@ class Simulator : public util::CheckContext {
   /// that need a copyable handle (e.g. self-rescheduling chains).
   using Callback = EventQueue::Callback;
 
-  /// `registry` (usually the owning World's) receives the engine metrics:
-  /// "sim.events_processed", "sim.event_times" (distinct timestamps, so
-  /// callbacks-per-event-time is derivable), and the "sim.queue_high_water"
-  /// gauge. Without a registry the same counters are kept privately so the
-  /// accessors below still work. `trace`, when set, receives periodic
+  /// The simulator is the one metrics home of its world. It counts into
+  /// `registry` (usually a bench report's merged registry or a shard's
+  /// private one), or into a registry of its own when given null, and
+  /// every component built on it (Network, the probers, the fault
+  /// injector) binds its metrics from registry()/trace(). The engine's own
+  /// metrics are "sim.events_processed", "sim.event_times" (distinct
+  /// timestamps, so callbacks-per-event-time is derivable), and the
+  /// "sim.queue_high_water" gauge. `trace`, when set, receives periodic
   /// event-queue depth samples on the "sim.queue_depth" counter track.
   explicit Simulator(obs::Registry* registry = nullptr, obs::TraceSink* trace = nullptr);
   ~Simulator();
@@ -66,9 +70,14 @@ class Simulator : public util::CheckContext {
   /// Processes a single event; returns false when the queue is empty.
   bool step();
 
-  /// Total events processed so far. Thin shim over the registry counter
-  /// (the metric is the source of truth since the obs layer landed).
+  /// Total events processed so far. Thin shim over the registry counter,
+  /// so simulators sharing a registry share this count.
   [[nodiscard]] std::uint64_t events_processed() const { return events_->value(); }
+
+  /// The registry this simulation counts into; never null.
+  [[nodiscard]] obs::Registry& registry() { return *registry_; }
+  /// The trace sink, or null when tracing is off.
+  [[nodiscard]] obs::TraceSink* trace() const { return trace_; }
 
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
@@ -83,12 +92,12 @@ class Simulator : public util::CheckContext {
 
   EventQueue queue_;
   SimTime now_;
-  obs::Counter fallback_events_;
-  obs::Counter fallback_event_times_;
+  std::unique_ptr<obs::Registry> owned_registry_;  ///< set when none was given
+  obs::Registry* registry_;
+  obs::TraceSink* trace_;
   obs::Counter* events_;            ///< "sim.events_processed"
   obs::Counter* event_times_;       ///< "sim.event_times"
-  obs::Gauge* queue_high_water_;    ///< "sim.queue_high_water" (null w/o registry)
-  obs::TraceSink* trace_;
+  obs::Gauge* queue_high_water_;    ///< "sim.queue_high_water"
   util::ScopedCheckContext check_context_{this};
 };
 

@@ -135,14 +135,14 @@ net::Packet echo_request_packet(net::Ipv4Address src, net::Ipv4Address dst) {
 
 struct InjectorFixture : ::testing::Test {
   sim::Simulator sim;
-  obs::Registry reg;
+  obs::Registry& reg = sim.registry();
   net::Ipv4Address vantage = net::Ipv4Address::from_octets(192, 0, 2, 1);
   net::Ipv4Address host = net::Ipv4Address::from_octets(10, 1, 2, 3);
 
   FaultInjector make(const std::string& faults_json) {
     const auto plan = FaultPlan::parse_json(
         R"({"schema": "turtle-fault-plan-v1", "faults": [)" + faults_json + "]}");
-    return FaultInjector{sim, plan, util::Prng{99}, &reg};
+    return FaultInjector{sim, plan, util::Prng{99}};
   }
 
   /// Calls on_send at simulated time `t` (the injector's windows follow
@@ -242,7 +242,7 @@ TEST_F(InjectorFixture, DropWinsOverAmplification) {
 
 TEST(FaultNetwork, OutageWindowSilencesDelivery) {
   MiniWorld w;
-  obs::Registry reg;
+  obs::Registry& reg = w.sim.registry();
   const auto target = net::Ipv4Address::from_octets(10, 0, 0, 7);
   hosts::Host host{w.ctx, target, plain_profile(SimTime::millis(50)), util::Prng{1}};
 
@@ -259,7 +259,7 @@ TEST(FaultNetwork, OutageWindowSilencesDelivery) {
   const auto plan = FaultPlan::parse_json(
       R"({"schema": "turtle-fault-plan-v1",
           "faults": [{"kind": "block_outage", "start_s": 10, "duration_s": 10}]})");
-  FaultInjector inj{w.sim, plan, util::Prng{3}, &reg};
+  FaultInjector inj{w.sim, plan, util::Prng{3}};
   w.net.set_fault_hook(&inj);
 
   w.ping_at(SimTime::seconds(5), target, 0);   // before the outage: answered
@@ -290,11 +290,11 @@ probe::RecordLog make_log(int n) {
 
 TEST(FaultCorruption, DetectablePredictsLoaderSkipsExactly) {
   sim::Simulator sim;
-  obs::Registry reg;
+  obs::Registry& reg = sim.registry();
   const auto plan = FaultPlan::parse_json(
       R"({"schema": "turtle-fault-plan-v1",
           "faults": [{"kind": "record_corruption", "rate": 0.3}]})");
-  FaultInjector inj{sim, plan, util::Prng{42}, &reg};
+  FaultInjector inj{sim, plan, util::Prng{42}};
   ASSERT_TRUE(inj.corruption_enabled());
 
   const auto log = make_log(2000);
@@ -333,8 +333,8 @@ TEST(FaultCorruption, SameSeedSameDamage) {
     a = out.str();
     b = a;
   }
-  FaultInjector i1{sim, plan, util::Prng{7}, nullptr};
-  FaultInjector i2{sim, plan, util::Prng{7}, nullptr};
+  FaultInjector i1{sim, plan, util::Prng{7}};
+  FaultInjector i2{sim, plan, util::Prng{7}};
   i1.corrupt_record_stream(a);
   i2.corrupt_record_stream(b);
   EXPECT_EQ(a, b);
@@ -385,14 +385,13 @@ struct CrashFixture : ::testing::Test {
   MiniWorld w;
   ManualResolver resolver;
   net::Prefix24 block = net::Prefix24::from_network(10u << 16);
-  obs::Registry reg;
+  obs::Registry& reg = w.sim.registry();
   probe::SurveyConfig config;
 
   CrashFixture() {
     w.net.set_host_resolver(&resolver);
     config.rounds = 4;
     config.checkpoints = true;
-    config.registry = &reg;
   }
 
   std::string run_and_serialize(SimTime crash_at, SimTime restart_delay) {
@@ -438,10 +437,7 @@ TEST_F(CrashFixture, CrashedRunIsDeterministic) {
                  util::Prng{1}};
   r2.put(block.address(10), &h2);
   w2.net.set_host_resolver(&r2);
-  probe::SurveyConfig config2 = config;
-  obs::Registry reg2;
-  config2.registry = &reg2;
-  probe::SurveyProber prober{w2.sim, w2.net, config2, {block}, util::Prng{5}};
+  probe::SurveyProber prober{w2.sim, w2.net, config, {block}, util::Prng{5}};
   prober.start();
   w2.sim.schedule_at(SimTime::seconds(800),
                      [&] { prober.crash(SimTime::seconds(60)); });

@@ -215,7 +215,7 @@ TEST(RetryPolicies, FactoryRejectsUnknownSpec) {
 // --- injected block outages ------------------------------------------------
 
 struct OutageFaultFixture : DetectorFixture {
-  obs::Registry reg;
+  obs::Registry& reg = w.sim.registry();
 
   fault::FaultPlan plan_json(const std::string& faults) {
     return fault::FaultPlan::parse_json(
@@ -231,7 +231,7 @@ TEST_F(OutageFaultFixture, OutageAtTimeZero) {
   resolver.put(target, &host);
 
   const auto plan = plan_json(R"({"kind": "block_outage", "start_s": 0, "duration_s": 30})");
-  fault::FaultInjector inj{w.sim, plan, util::Prng{9}, &reg};
+  fault::FaultInjector inj{w.sim, plan, util::Prng{9}};
   w.net.set_fault_hook(&inj);
 
   FixedTimeoutPolicy policy{SimTime::seconds(3)};
@@ -259,7 +259,7 @@ TEST_F(OutageFaultFixture, BackToBackOutagesShorterThanARound) {
   const auto plan = plan_json(
       R"({"kind": "block_outage", "start_s": 650, "duration_s": 30},
          {"kind": "block_outage", "start_s": 700, "duration_s": 30})");
-  fault::FaultInjector inj{w.sim, plan, util::Prng{9}, &reg};
+  fault::FaultInjector inj{w.sim, plan, util::Prng{9}};
   w.net.set_fault_hook(&inj);
 
   FixedTimeoutPolicy policy{SimTime::seconds(3)};
@@ -287,13 +287,12 @@ TEST_F(OutageFaultFixture, OutageSpanningCheckpointResume) {
   // Round interval 660 s; crash at 700 s (round 1), restart 60 s later at
   // 760 s; outage [690, 900) spans the whole crash and the resume.
   const auto plan = plan_json(R"({"kind": "block_outage", "start_s": 690, "duration_s": 210})");
-  fault::FaultInjector inj{w.sim, plan, util::Prng{9}, &reg};
+  fault::FaultInjector inj{w.sim, plan, util::Prng{9}};
   w.net.set_fault_hook(&inj);
 
   probe::SurveyConfig survey_config;
   survey_config.rounds = 4;
   survey_config.checkpoints = true;
-  survey_config.registry = &reg;
   probe::SurveyProber prober{w.sim, w.net, survey_config, {block}, util::Prng{5}};
   prober.start();
   w.sim.schedule_at(SimTime::seconds(700), [&] { prober.crash(SimTime::seconds(60)); });

@@ -156,9 +156,7 @@ TEST(ShardRunner, SurveyWorkloadIsByteIdenticalAcrossJobCounts) {
 // per-shard sinks the runner hands out via ShardContext.
 int run_instrumented_shard(ShardContext& ctx) {
   Simulator sim{ctx.registry, ctx.trace};
-  Network::Config net_config;
-  net_config.registry = ctx.registry;
-  Network net{sim, net_config, util::Prng{ctx.rng.next_u64()}};
+  Network net{sim, {}, util::Prng{ctx.rng.next_u64()}};
   hosts::HostContext host_ctx{sim, net};
   hosts::PopulationConfig config;
   config.num_blocks = 3;
@@ -169,8 +167,6 @@ int run_instrumented_shard(ShardContext& ctx) {
 
   probe::SurveyConfig survey_config;
   survey_config.rounds = 3;
-  survey_config.registry = ctx.registry;
-  survey_config.trace = ctx.trace;
   probe::SurveyProber prober{sim, net, survey_config, population.blocks(),
                              util::Prng{ctx.rng.next_u64()}};
   prober.start();
